@@ -62,8 +62,8 @@ impl Side {
     /// global flag cannot leak into the flat side — the comparison is
     /// meaningless unless exactly one side is legacy.
     fn build(legacy: bool, pages: u64) -> Result<Side> {
-        let ambient = sim::thread_legacy_maps();
-        sim::set_thread_legacy_maps(false);
+        let ambient = sim::Ambient::current();
+        sim::Ambient { legacy_maps: false, ..ambient }.publish();
         let mut faults = mem::MediaFaultConfig::with_seed(5);
         faults.correction_entries = STUCK_CORRECTION_ENTRIES;
         let mut cfg = MachineConfig::small().with_pt_mode(PtMode::Persistent);
@@ -79,7 +79,7 @@ impl Side {
         cfg.caches.l2.assoc = 2;
         cfg.caches.llc.assoc = 4;
         let built = Machine::new(cfg);
-        sim::set_thread_legacy_maps(ambient);
+        ambient.publish();
         let mut m = built?;
 
         let pid = m.spawn_process()?;
@@ -130,7 +130,7 @@ impl Side {
 
 fn main() -> Result<()> {
     let harness = Harness::from_args();
-    let (pages, chunks) = if quick_mode() { (4096, 6) } else { (8192, 16) };
+    let (pages, chunks) = if harness.quick() { (4096, 6) } else { (8192, 16) };
     let chunk = pages;
 
     let mut flat = Side::build(false, pages)?;

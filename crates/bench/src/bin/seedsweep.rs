@@ -67,12 +67,13 @@ fn table4_persistent_ms(rows: &[experiments::Table4Row]) -> f64 {
 
 fn main() -> Result<()> {
     let harness = Harness::from_args();
-    let (p4a, pt4, nseeds) = if quick_mode() {
+    let (p4a, pt4, nseeds) = if harness.quick() {
         (experiments::Fig4aParams::quick(), experiments::Table4Params::quick(), 4u64)
     } else {
         (experiments::Fig4aParams::paper(), experiments::Table4Params::paper(), 16u64)
     };
-    let base = sim::thread_media_faults().map_or(0xBAD_5EED, |f| f.seed);
+    let ambient = sim::Ambient::current();
+    let base = ambient.media_faults.map_or(0xBAD_5EED, |f| f.seed);
     let jobs = harness.jobs();
     let stuck = harness.stuck().unwrap_or(0);
     println!("SEEDSWEEP: Fig. 4a + Table IV under media faults, {nseeds} seeds from {base:#x}");
@@ -82,19 +83,20 @@ fn main() -> Result<()> {
     );
     rule(74);
 
-    // Fault-free baseline first, on a clean ambient model. `par_map_cells`
-    // inside the drivers republishes the caller's model per cell, so the
-    // baseline stays fault-free at any worker count.
-    sim::set_thread_media_faults(None);
+    // Fault-free baseline first, on a clean ambient model. `par_map`
+    // republishes the caller's ambient value per cell, so the baseline
+    // stays fault-free at any worker count.
+    let clean = sim::Ambient { media_faults: None, ..ambient };
+    clean.publish();
     let base4a = fig4a_persistent_ms(&experiments::run_fig4a(&p4a)?);
     let baset4 = table4_persistent_ms(&experiments::run_table4(&pt4)?);
 
     let seeds: Vec<u64> = (0..nseeds).map(|i| base.wrapping_add(i)).collect();
     let rows: Vec<SeedRow> = parallel::par_map(jobs, seeds, |seed| -> Result<SeedRow> {
-        sim::set_thread_media_faults(Some(sweep_faults(seed, stuck)));
+        sim::Ambient { media_faults: Some(sweep_faults(seed, stuck)), ..clean }.publish();
         let fig4a = experiments::run_fig4a(&p4a);
         let table4 = experiments::run_table4(&pt4);
-        sim::set_thread_media_faults(None);
+        clean.publish();
         let fig4a_ms = fig4a_persistent_ms(&fig4a?);
         let table4_ms = table4_persistent_ms(&table4?);
         // The healed-vs-poisoned frontier: seed `base + i` corrupts

@@ -17,9 +17,12 @@ pub const USAGE: &str = "[--quick] [--sanitize] [--faults <seed>] [--stuck <N>] 
 /// correction work instead of silently corrupting stored data.
 pub const STUCK_CORRECTION_ENTRIES: u32 = 2;
 
-/// Fault/sanitizer/parallelism CLI harness shared by the `fig*`/`table*`
-/// binaries.
+/// The CLI harness shared by the `fig*`/`table*` binaries: it owns every
+/// bench flag.
 ///
+/// * `--quick` selects CI-scale parameters instead of the paper-scale
+///   defaults ([`Harness::quick`]).
+/// * `--csv <path>` makes [`Harness::maybe_csv`] write the rows as CSV.
 /// * `--sanitize` installs the cross-layer [`InvariantChecker`] for the
 ///   whole run; [`Harness::finish`] prints anything it caught and fails
 ///   the binary, so CI notices an experiment that corrupts state even
@@ -27,7 +30,10 @@ pub const STUCK_CORRECTION_ENTRIES: u32 = 2;
 /// * `--faults <seed>` arms the deterministic NVM media-fault model
 ///   (wear-out, stuck cells, retry-then-retire) in every machine the
 ///   experiment builds on this thread — the figures can be regenerated
-///   on degrading media without touching experiment code.
+///   on degrading media without touching experiment code. This flag,
+///   `--legacy-maps` and `--backend` are published together as one
+///   [`sim::Ambient`] value, which fork-join workers and machine
+///   snapshots carry along.
 /// * `--stuck <N>` scatters `N` stuck-at cells over the NVM range and
 ///   enables a two-entry per-line ECP correction budget so the cells are
 ///   absorbed at write time rather than silently corrupting stored data.
@@ -72,9 +78,11 @@ pub const STUCK_CORRECTION_ENTRIES: u32 = 2;
 pub struct Harness {
     _guard: Option<Installed>,
     log: Option<ViolationLog>,
+    quick: bool,
     jobs: usize,
     stuck: Option<usize>,
     patrol: Option<Cycles>,
+    csv_path: Option<String>,
     json_path: Option<String>,
     plot_path: Option<String>,
     timing_path: Option<String>,
@@ -124,10 +132,12 @@ impl Harness {
     /// value is missing or unparsable.
     pub fn try_from_arg_list(args: &[String]) -> std::result::Result<Self, String> {
         let mut sanitize_requested = false;
+        let mut quick = false;
         let mut fault_seed = None;
         let mut stuck = None;
         let mut patrol = None;
         let mut jobs = None;
+        let mut csv_path = None;
         let mut json_path = None;
         let mut plot_path = None;
         let mut timing_path = None;
@@ -138,7 +148,7 @@ impl Harness {
         while let Some(arg) = it.next() {
             match arg.as_str() {
                 "--sanitize" => sanitize_requested = true,
-                "--quick" => {}
+                "--quick" => quick = true,
                 "--faults" => {
                     let v = it.next().ok_or("--faults requires a u64 seed")?;
                     let seed =
@@ -171,7 +181,7 @@ impl Harness {
                     jobs = Some(n);
                 }
                 "--csv" => {
-                    it.next().ok_or("--csv requires a path")?;
+                    csv_path = Some(it.next().ok_or("--csv requires a path")?.clone());
                 }
                 "--json" => {
                     json_path = Some(it.next().ok_or("--json requires a path")?.clone());
@@ -204,22 +214,17 @@ impl Harness {
         }
         let jobs = jobs.unwrap_or_else(parallel::default_jobs);
         parallel::set_thread_jobs(jobs);
-        if let Some(seed) = fault_seed {
+        let media_faults = fault_seed.map(|seed| {
             let mut faults = mem::MediaFaultConfig::with_seed(seed);
             if let Some(n) = stuck {
                 faults.stuck_cells = n;
                 faults.correction_entries = STUCK_CORRECTION_ENTRIES;
             }
-            kindle_core::sim::set_thread_media_faults(Some(faults));
-        }
-        if legacy_maps {
-            kindle_core::sim::set_thread_legacy_maps(true);
-        }
-        if let Some(b) = backend {
-            // Only publish when the flag was passed: the unset default
-            // must stay byte-identical to the pre-backend harness.
-            kindle_core::sim::set_thread_backend(Some(b));
-        }
+            faults
+        });
+        // Without `--backend` the ambient backend stays unset, which is
+        // byte-identical to an explicit `--backend pcm`.
+        sim::Ambient { media_faults, legacy_maps, backend }.publish();
         let (guard, log) = if sanitize_requested {
             let checker = InvariantChecker::new();
             let log = checker.log();
@@ -230,9 +235,11 @@ impl Harness {
         Ok(Harness {
             _guard: guard,
             log,
+            quick,
             jobs,
             stuck,
             patrol,
+            csv_path,
             json_path,
             plot_path,
             timing_path,
@@ -240,6 +247,13 @@ impl Harness {
             backend: backend.unwrap_or_default(),
             started: std::time::Instant::now(),
         })
+    }
+
+    /// True if `--quick` was passed (CI-scale parameters instead of the
+    /// paper-scale defaults).
+    #[must_use]
+    pub fn quick(&self) -> bool {
+        self.quick
     }
 
     /// The resolved fork-join worker count.
@@ -286,6 +300,15 @@ impl Harness {
         self.backend
     }
 
+    /// Writes rows as CSV when `--csv <path>` was passed.
+    pub fn maybe_csv<R: kindle_core::experiments::CsvRow>(&self, rows: &[R]) {
+        let Some(path) = &self.csv_path else { return };
+        match std::fs::write(path, kindle_core::experiments::to_csv(rows)) {
+            Ok(()) => eprintln!("wrote {path}"),
+            Err(e) => eprintln!("csv write failed: {e}"),
+        }
+    }
+
     /// Writes rows as JSON when `--json <path>` was passed, wrapped in the
     /// bench envelope (`jobs`, `elapsed_ms`, `rows`) consumed by the CI
     /// bench-smoke job's golden-range diff.
@@ -314,16 +337,15 @@ impl Harness {
         }
     }
 
-    /// Tears the harness down: clears the ambient fault seed, resets the
-    /// published worker count, and reports sanitizer violations.
+    /// Tears the harness down: clears the published [`sim::Ambient`],
+    /// resets the published worker count, and reports sanitizer
+    /// violations.
     ///
     /// # Errors
     ///
     /// [`KindleError::Corrupted`] when the sanitizer recorded violations.
     pub fn finish(self) -> Result<()> {
-        kindle_core::sim::set_thread_media_faults(None);
-        kindle_core::sim::set_thread_legacy_maps(false);
-        kindle_core::sim::set_thread_backend(None);
+        sim::Ambient::default().publish();
         parallel::set_thread_jobs(1);
         if let Some(log) = &self.log {
             let violations = log.take();
@@ -338,12 +360,6 @@ impl Harness {
         }
         Ok(())
     }
-}
-
-/// True if `--quick` was passed (CI-scale parameters instead of the
-/// paper-scale defaults).
-pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
 }
 
 /// Prints a rule line of width `w`.
@@ -362,20 +378,6 @@ pub fn ms(v: f64) -> String {
     }
 }
 
-/// Writes rows as CSV when `--csv <path>` was passed.
-pub fn maybe_csv<R: kindle_core::experiments::CsvRow>(rows: &[R]) {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--csv") {
-        if let Some(path) = args.get(i + 1) {
-            let data = kindle_core::experiments::to_csv(rows);
-            match std::fs::write(path, data) {
-                Ok(()) => eprintln!("wrote {path}"),
-                Err(e) => eprintln!("csv write failed: {e}"),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,6 +390,7 @@ mod tests {
     fn harness_plain_is_inert() {
         let h = Harness::from_arg_list(&args(&["bin"]));
         assert!(!sanitize::installed());
+        assert!(!h.quick(), "paper scale unless --quick");
         h.finish().unwrap();
     }
 
@@ -541,15 +544,22 @@ mod tests {
         let dir = std::env::temp_dir().join("kindle-bench-envelope-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("rows.json");
+        let csv_path = dir.join("rows.csv");
         let h = Harness::from_arg_list(&args(&[
             "bin",
+            "--quick",
             "--jobs",
             "2",
+            "--csv",
+            csv_path.to_str().unwrap(),
             "--json",
             path.to_str().unwrap(),
         ]));
+        assert!(h.quick());
         let rows =
             vec![experiments::Fig4aRow { size_mb: 64, rebuild_ms: 54.2, persistent_ms: 29.2 }];
+        h.maybe_csv(&rows);
+        assert_eq!(std::fs::read_to_string(&csv_path).unwrap(), experiments::to_csv(&rows));
         h.maybe_json(&rows);
         let data = std::fs::read_to_string(&path).unwrap();
         assert!(data.starts_with("{\n\"jobs\": 2,\n\"elapsed_ms\": "), "{data}");
@@ -559,6 +569,7 @@ mod tests {
         assert!(data.trim_end().ends_with('}'), "{data}");
         h.finish().unwrap();
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&csv_path).ok();
     }
 
     #[test]

@@ -133,12 +133,12 @@ mod tests {
 
     #[test]
     fn version_dep_is_flagged() {
-        let toml = "[dependencies]\nserde = \"1.0\"\n";
+        let toml = "[dependencies]\nbytes = \"1.0\"\n";
         let d = check_manifest("crates/os/Cargo.toml", toml);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].rule, "KD005");
         assert_eq!(d[0].line, 2);
-        assert!(d[0].message.contains("`serde`"), "{}", d[0].message);
+        assert!(d[0].message.contains("`bytes`"), "{}", d[0].message);
     }
 
     #[test]
@@ -156,18 +156,18 @@ mod tests {
 
     #[test]
     fn dotted_subtable_with_version_is_flagged() {
-        let toml = "[dev-dependencies.criterion]\nversion = \"0.5\"\n";
+        let toml = "[dev-dependencies.quickcheck]\nversion = \"1.0\"\n";
         let d = check_manifest("crates/bench/Cargo.toml", toml);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].line, 1);
-        assert!(d[0].message.contains("`criterion`"));
+        assert!(d[0].message.contains("`quickcheck`"));
     }
 
     #[test]
     fn non_dep_sections_are_ignored() {
         let toml = "[package]\nname = \"x\"\nversion = \"0.1.0\"\n\
-                    [features]\nserde = []\nproptest = []\n\
-                    [[bench]]\nname = \"b\"\nharness = false\n";
+                    [features]\nproptest = []\n\
+                    [[example]]\nname = \"b\"\npath = \"b.rs\"\n";
         assert!(check_manifest("crates/types/Cargo.toml", toml).is_empty());
     }
 

@@ -9,7 +9,7 @@
 //! | KD004 | no `.unwrap()`/`.expect(` in non-test `crates/os` / `crates/persist` code |
 //! | KD006 | no raw `+`/`-` arithmetic inside `Cycles::new(..)` outside `crates/types` |
 //! | KD007 | no host threads (`std::thread`, `thread::spawn/scope`) outside `kindle_core::parallel` |
-//! | KD008 | the removed seed-only fault channel (`set_thread_media_fault_seed`) stays removed |
+//! | KD008 | the removed seed-only fault channel (`set_thread_media_fault_seed`) stays removed, and `thread_local!` lives only in the three ambient-state homes |
 //! | KD009 | NVM-mutating primitives in `mem`/`os`/`persist` emit their sanitize event on every path, or sit inside a checkpoint bracket |
 //! | KD010 | `LockAcquire`/`LockRelease` emissions balance per `LOCK_*` id on all paths, early exits included |
 //! | KD011 | no `todo!`/`unimplemented!`/`unreachable!` in non-test simulation code |
@@ -54,6 +54,14 @@ pub fn is_nvm_discipline_crate(krate: &str) -> bool {
 /// go through its `par_map`, so worker scheduling can never reach
 /// simulation state or reorder results.
 const THREAD_HOME: &str = "crates/core/src/parallel.rs";
+
+/// The files allowed to declare `thread_local!` state (KD008): the one
+/// ambient machine-knob slot (`kindle_sim::Ambient`), the executor's
+/// worker count, and the sanitizer installation. A new per-thread knob
+/// must become an `Ambient` field, so fork-join workers and snapshots
+/// carry it without another hand-copied republish path.
+const THREAD_LOCAL_HOMES: &[&str] =
+    &["crates/sim/src/ambient.rs", "crates/core/src/parallel.rs", "crates/types/src/sanitize.rs"];
 
 /// The `crates/mem` files allowed to keep ordered maps (KD012): the
 /// legacy store implementations preserved as the `--legacy-maps`
@@ -217,7 +225,12 @@ fn flat_rules(
         {
             hit("KD007", t.line);
         }
-        if t.is_ident("set_thread_media_fault_seed") || t.is_ident("thread_media_fault_seed") {
+        if t.is_ident("set_thread_media_fault_seed")
+            || t.is_ident("thread_media_fault_seed")
+            || (t.is_ident("thread_local")
+                && tokens.get(i + 1).is_some_and(|n| n.is_punct('!'))
+                && !THREAD_LOCAL_HOMES.contains(&rel_path))
+        {
             hit("KD008", t.line);
         }
         if sim
@@ -333,9 +346,10 @@ fn message_of(rule: &str) -> &'static str {
              through par_map so results stay independent of worker count"
         }
         "KD008" => {
-            "seed-only ambient fault channel; use \
-             set_thread_media_faults(MediaFaultConfig) — the one entry point — \
-             so every caller states the full fault model"
+            "ad-hoc ambient state (a thread_local! outside its homes, or the \
+             removed seed-only fault channel); add a field to kindle_sim::Ambient \
+             and set it with Ambient::publish, so fork-join workers and \
+             snapshots carry it"
         }
         "KD011" => {
             "todo!/unimplemented!/unreachable! in simulation code; model the \
@@ -838,13 +852,28 @@ mod tests {
         let d = check_source(
             "crates/bench/src/x.rs",
             Some("bench"),
-            "kindle_core::sim::set_thread_media_faults(None);\n",
+            "sim::Ambient { media_faults: None, ..a }.publish();\n",
         );
         assert!(d.is_empty(), "{d:?}");
         let d = check_source(
             "crates/check/src/x.rs",
             Some("check"),
             "\"set_thread_media_fault_seed\";\n",
+        );
+        assert!(d.is_empty(), "{d:?}");
+        // thread_local! is confined to the ambient-state homes; bench is
+        // not exempt, and an identifier or string naming it is no macro.
+        let decl =
+            "std::thread_local! {\n    static X: Cell<bool> = const { Cell::new(false) };\n}\n";
+        for home in THREAD_LOCAL_HOMES {
+            assert!(check_source(home, None, decl).is_empty(), "{home}");
+        }
+        let d = check_source("crates/bench/src/x.rs", Some("bench"), decl);
+        assert_eq!((rules_of(&d), d[0].line), (vec!["KD008"], 1));
+        let d = check_source(
+            "crates/os/src/x.rs",
+            Some("os"),
+            "let thread_local = \"thread_local!\";\n",
         );
         assert!(d.is_empty(), "{d:?}");
     }

@@ -9,6 +9,7 @@
 
 use super::persistence::{run_fig4a, Fig4aParams, Fig4aRow};
 use kindle_mem::Backend;
+use kindle_sim::Ambient;
 use kindle_types::Result;
 
 /// Parameters for the backends × schemes grid.
@@ -43,18 +44,18 @@ impl BackendGridParams {
 
 /// Runs the Fig. 4a grid once per backend, publishing each backend
 /// ambiently for the duration of its grid (workers inherit it through
-/// `par_map_cells`) and restoring the caller's ambient choice after.
+/// `par_map`) and restoring the caller's ambient value after.
 ///
 /// # Errors
 ///
 /// Propagates the first failing cell's error.
 pub fn run_backend_grid(p: &BackendGridParams) -> Result<Vec<(Backend, Vec<Fig4aRow>)>> {
-    let prev = kindle_sim::thread_backend();
+    let prev = Ambient::current();
     let mut out = Vec::with_capacity(p.backends.len());
     for &b in &p.backends {
-        kindle_sim::set_thread_backend(Some(b));
+        Ambient { backend: Some(b), ..prev }.publish();
         let rows = run_fig4a(&p.fig4a);
-        kindle_sim::set_thread_backend(prev);
+        prev.publish();
         out.push((b, rows?));
     }
     Ok(out)
@@ -87,7 +88,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(kindle_sim::thread_backend(), None, "grid must restore the ambient choice");
+        assert_eq!(Ambient::current().backend, None, "grid must restore the ambient choice");
 
         // Timing sanity: DRAM-class far tiers write far faster than PCM's
         // 500 ns cells, so their persistent runs must come in under PCM's.

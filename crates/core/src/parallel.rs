@@ -20,13 +20,17 @@
 //!   rather than a second implementation that could drift.
 //!
 //! The cross-layer sanitizer (`kindle_types::sanitize`) and the ambient
-//! media-fault seed (`kindle_sim`) are **host-thread-local**, so workers
-//! see neither unless re-published. [`par_map_cells`] does exactly that:
-//! it captures the caller's ambient fault seed and whether a sanitizer is
-//! installed, then gives every cell its own fresh `InvariantChecker` (and
-//! its own seed publication) on whichever thread it runs — the serial and
+//! machine knobs ([`kindle_sim::Ambient`]) are **host-thread-local**, so
+//! workers see neither unless re-published. [`par_map`] captures the
+//! caller's `Ambient` and publishes it on the worker before every item, so
+//! every machine a worker builds sees the caller's fault model, store
+//! layout and backend. [`par_map_cells`] additionally captures whether a
+//! sanitizer is installed and gives every cell its own fresh
+//! `InvariantChecker` on whichever thread it runs — the serial and
 //! parallel paths install identical per-cell checkers, so violations are
-//! caught (and reported identically) at any job count.
+//! caught (and reported identically) at any job count. The worker count
+//! itself is *not* republished: workers run their items serially
+//! ([`thread_jobs`] is 1 there).
 //!
 //! Worker-count resolution: `--jobs N` (bench harness) beats the
 //! `KINDLE_JOBS` environment variable, which beats
@@ -37,6 +41,7 @@
 use std::cell::Cell;
 use std::sync::{Mutex, PoisonError};
 
+use kindle_sim::Ambient;
 use kindle_types::sanitize::{self, InvariantChecker};
 use kindle_types::{KindleError, Result};
 
@@ -77,6 +82,8 @@ pub fn default_jobs() -> usize {
 /// Maps `f` over `items` on up to `jobs` scoped worker threads, returning
 /// the results **in input order**. With `jobs <= 1` (or fewer than two
 /// items) this is exactly the serial `map` loop on the calling thread.
+/// Every item on a worker runs with the caller's [`Ambient`] published,
+/// so `f` sees the same machine knobs on every thread.
 ///
 /// Workers pull items from a shared queue (so uneven cells load-balance)
 /// and write each result into its input slot; ordering is positional, not
@@ -103,12 +110,14 @@ where
     let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
     let slots = Mutex::new(slots);
+    let ambient = Ambient::current();
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..jobs.min(n))
             .map(|_| {
                 scope.spawn(|| loop {
                     let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
                     let Some((idx, item)) = next else { break };
+                    ambient.publish();
                     let out = f(item);
                     slots.lock().unwrap_or_else(PoisonError::into_inner)[idx] = Some(out);
                 })
@@ -136,12 +145,12 @@ where
 }
 
 /// [`par_map`] specialized for experiment-grid cells: runs each fallible
-/// cell with the caller's ambient context re-established on the worker —
-/// the thread-local media-fault model is republished, and if the caller has
-/// a sanitizer installed (bench `--sanitize`), the cell runs under its own
-/// fresh [`InvariantChecker`] whose violations fail the cell. Uses the
-/// ambient [`thread_jobs`] worker count; results come back in input order,
-/// and the first cell error (in input order) aborts the map.
+/// cell with the caller's [`Ambient`] published (as every `par_map` item
+/// does), and if the caller has a sanitizer installed (bench
+/// `--sanitize`), under its own fresh [`InvariantChecker`] whose
+/// violations fail the cell. Uses the ambient [`thread_jobs`] worker
+/// count; results come back in input order, and the first cell error (in
+/// input order) aborts the map.
 ///
 /// # Errors
 ///
@@ -154,14 +163,8 @@ where
     F: Fn(T) -> Result<R> + Sync,
 {
     let jobs = thread_jobs();
-    let ambient_faults = kindle_sim::thread_media_faults();
-    let ambient_legacy = kindle_sim::thread_legacy_maps();
-    let ambient_backend = kindle_sim::thread_backend();
     let sanitized = sanitize::installed();
     let run_cell = move |item: T| -> Result<R> {
-        kindle_sim::set_thread_media_faults(ambient_faults);
-        kindle_sim::set_thread_legacy_maps(ambient_legacy);
-        kindle_sim::set_thread_backend(ambient_backend);
         if !sanitized {
             return f(item);
         }
@@ -265,38 +268,61 @@ mod tests {
     }
 
     #[test]
+    fn par_map_publishes_caller_ambient_on_every_worker() {
+        // The three sweep fan-outs call plain `par_map`, so it (not only
+        // `par_map_cells`) must carry the caller's ambient knobs onto its
+        // workers — and must not carry the worker count.
+        let ambient = Ambient {
+            media_faults: Some(kindle_mem::MediaFaultConfig::with_seed(77)),
+            legacy_maps: true,
+            backend: Some(kindle_mem::Backend::Cxl),
+        };
+        ambient.publish();
+        set_thread_jobs(3);
+        let seen = par_map(4, (0..16u64).collect(), |_| (Ambient::current(), thread_jobs()));
+        set_thread_jobs(1);
+        Ambient::default().publish();
+        assert!(seen.iter().all(|&(a, _)| a == ambient), "{seen:?}");
+        assert!(seen.iter().all(|&(_, jobs)| jobs == 1), "workers run serially: {seen:?}");
+    }
+
+    #[test]
     fn par_map_cells_republishes_fault_model_on_workers() {
-        kindle_sim::set_thread_media_faults(Some(kindle_mem::MediaFaultConfig::with_seed(77)));
+        Ambient {
+            media_faults: Some(kindle_mem::MediaFaultConfig::with_seed(77)),
+            ..Ambient::default()
+        }
+        .publish();
         set_thread_jobs(4);
         let seeds = par_map_cells((0..8u64).collect(), |_| {
-            Ok(kindle_sim::thread_media_faults().map(|f| f.seed))
+            Ok(Ambient::current().media_faults.map(|f| f.seed))
         })
         .unwrap();
         assert!(seeds.iter().all(|&s| s == Some(77)), "{seeds:?}");
         set_thread_jobs(1);
-        kindle_sim::set_thread_media_faults(None);
+        Ambient::default().publish();
     }
 
     #[test]
     fn par_map_cells_republishes_legacy_maps_on_workers() {
-        kindle_sim::set_thread_legacy_maps(true);
+        Ambient { legacy_maps: true, ..Ambient::default() }.publish();
         set_thread_jobs(4);
         let flags =
-            par_map_cells((0..8u64).collect(), |_| Ok(kindle_sim::thread_legacy_maps())).unwrap();
+            par_map_cells((0..8u64).collect(), |_| Ok(Ambient::current().legacy_maps)).unwrap();
         assert!(flags.iter().all(|&f| f), "{flags:?}");
         set_thread_jobs(1);
-        kindle_sim::set_thread_legacy_maps(false);
+        Ambient::default().publish();
     }
 
     #[test]
     fn par_map_cells_republishes_backend_on_workers() {
-        kindle_sim::set_thread_backend(Some(kindle_mem::Backend::Cxl));
+        Ambient { backend: Some(kindle_mem::Backend::Cxl), ..Ambient::default() }.publish();
         set_thread_jobs(4);
         let backends =
-            par_map_cells((0..8u64).collect(), |_| Ok(kindle_sim::thread_backend())).unwrap();
+            par_map_cells((0..8u64).collect(), |_| Ok(Ambient::current().backend)).unwrap();
         assert!(backends.iter().all(|&b| b == Some(kindle_mem::Backend::Cxl)), "{backends:?}");
         set_thread_jobs(1);
-        kindle_sim::set_thread_backend(None);
+        Ambient::default().publish();
     }
 
     #[test]

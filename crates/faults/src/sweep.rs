@@ -767,17 +767,9 @@ fn run_sweep_cfg(
         }
         SweepStrategy::ReplayFromZero => (golden_run_cfg(cfg)?, None),
     };
-    // Workers have their own thread-locals: republish the caller's ambient
-    // media-fault model so the sweep is jobs-invariant even under --faults.
-    let ambient = kindle_sim::thread_media_faults();
-    let ambient_legacy = kindle_sim::thread_legacy_maps();
-    let ambient_backend = kindle_sim::thread_backend();
     let golden_ref = &golden;
     let pool_ref = pool.as_ref();
     let results = parallel::par_map(jobs, (0..golden.boundaries).collect(), move |b| {
-        kindle_sim::set_thread_media_faults(ambient);
-        kindle_sim::set_thread_legacy_maps(ambient_legacy);
-        kindle_sim::set_thread_backend(ambient_backend);
         // A fresh generator per boundary keeps crash points independent:
         // inserting a boundary does not shift every later tear.
         let mut rng = Rng64::new(seed ^ (b + 1).wrapping_mul(GOLDEN_GAMMA));
@@ -965,16 +957,10 @@ pub fn run_nvm_write_sweep_instrumented(
         SweepStrategy::ReplayFromZero => (golden_run_cfg(&cfg)?, None),
     };
     let stride = stride.max(1);
-    let ambient = kindle_sim::thread_media_faults();
-    let ambient_legacy = kindle_sim::thread_legacy_maps();
-    let ambient_backend = kindle_sim::thread_backend();
     let cfg_ref = &cfg;
     let pool_ref = pool.as_ref();
     let points: Vec<u64> = (0..golden.nvm_writes).step_by(stride as usize).collect();
     let results = parallel::par_map(jobs, points.clone(), move |w| {
-        kindle_sim::set_thread_media_faults(ambient);
-        kindle_sim::set_thread_legacy_maps(ambient_legacy);
-        kindle_sim::set_thread_backend(ambient_backend);
         let mut rng = Rng64::new(seed ^ (w + 1).wrapping_mul(GOLDEN_GAMMA));
         crash_at_nvm_write(cfg_ref, pool_ref, w, &mut rng)
     });
@@ -1265,14 +1251,7 @@ pub fn run_data_integrity_sweep_strategy(
         .enumerate()
         .map(|(i, &(budget, daemons))| (i as u64, budget, daemons))
         .collect();
-    // Workers have their own thread-locals: republish the caller's ambient
-    // store-layout request and far-tier backend so the grid is
-    // jobs-invariant under --legacy-maps and --backend.
-    let ambient_legacy = kindle_sim::thread_legacy_maps();
-    let ambient_backend = kindle_sim::thread_backend();
     let results = parallel::par_map(jobs, grid, move |(i, budget, daemons)| {
-        kindle_sim::set_thread_legacy_maps(ambient_legacy);
-        kindle_sim::set_thread_backend(ambient_backend);
         // A fresh generator per point keeps grid points independent.
         let pseed = seed ^ (i + 1).wrapping_mul(GOLDEN_GAMMA);
         run_integrity_point(budget, daemons, stuck, pseed, strategy)

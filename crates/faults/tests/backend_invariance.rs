@@ -1,8 +1,8 @@
 //! Backend invariance of the crash sweeps.
 //!
-//! The far-tier backend travels the same ambient thread-local route as
-//! the media-fault model and the legacy-maps request: published by the
-//! bench harness (`--backend`), captured into machine snapshots, and
+//! The far-tier backend travels in `kindle_sim::Ambient` with the
+//! media-fault model and the legacy-maps request: published by the bench
+//! harness (`--backend`), captured into machine snapshots, and
 //! republished on every sweep worker. Two properties must hold:
 //!
 //! 1. `--backend pcm` is byte-identical to not passing the flag — the
@@ -15,7 +15,7 @@
 use kindle_faults::{run_nvm_write_sweep_jobs, run_sweep_jobs};
 use kindle_mem::Backend;
 use kindle_os::PtMode;
-use kindle_sim::{set_thread_backend, thread_backend};
+use kindle_sim::Ambient;
 
 const SEED: u64 = 0x00c0_ffee_4b1d_0001;
 
@@ -23,10 +23,10 @@ const SEED: u64 = 0x00c0_ffee_4b1d_0001;
 /// previous choice afterwards (the sweeps republish the ambient choice
 /// onto their workers, so one thread-local toggle covers any `jobs`).
 fn with_backend<R>(backend: Option<Backend>, f: impl FnOnce() -> R) -> R {
-    let prev = thread_backend();
-    set_thread_backend(backend);
+    let prev = Ambient::current();
+    Ambient { backend, ..prev }.publish();
     let out = f();
-    set_thread_backend(prev);
+    prev.publish();
     out
 }
 

@@ -186,8 +186,8 @@ fn round_tripped_data_integrity_sweep_matches_straight_run() {
 
 #[test]
 fn forked_sweep_is_jobs_invariant() {
-    // Workers each republish the ambient fault epoch captured in the
-    // snapshot; one worker and eight must still agree bit-for-bit.
+    // Workers each republish the ambient value captured in the snapshot;
+    // one worker and eight must still agree bit-for-bit.
     let serial =
         run_sweep_strategy(PtMode::Rebuild, SEED, false, 1, SweepStrategy::SnapshotFork).unwrap();
     let parallel =

@@ -11,7 +11,7 @@
 
 use kindle_faults::{run_data_integrity_sweep_jobs, run_nvm_write_sweep_jobs, run_sweep_jobs};
 use kindle_os::PtMode;
-use kindle_sim::{set_thread_legacy_maps, thread_legacy_maps};
+use kindle_sim::Ambient;
 
 const SEED: u64 = 0x00c0_ffee_4b1d_0001;
 
@@ -20,10 +20,10 @@ const SEED: u64 = 0x00c0_ffee_4b1d_0001;
 /// ambient flag onto their workers, so one thread-local toggle covers
 /// any `jobs` count).
 fn with_legacy<R>(legacy: bool, f: impl FnOnce() -> R) -> R {
-    let prev = thread_legacy_maps();
-    set_thread_legacy_maps(legacy);
+    let prev = Ambient::current();
+    Ambient { legacy_maps: legacy, ..prev }.publish();
     let out = f();
-    set_thread_legacy_maps(prev);
+    prev.publish();
     out
 }
 

@@ -5,7 +5,7 @@
 //! shootdown — under a zero-violation invariant sanitizer.
 
 use kindle_mem::MediaFaultConfig;
-use kindle_sim::{Machine, MachineConfig};
+use kindle_sim::{Ambient, Machine, MachineConfig};
 use kindle_types::sanitize::{self, InvariantChecker};
 use kindle_types::{AccessKind, MapFlags, PhysMem, Prot, PAGE_SIZE};
 
@@ -76,9 +76,9 @@ fn worn_out_nvm_frame_is_retired_and_remapped() {
 
 #[test]
 fn ambient_model_arms_machines_built_on_this_thread() {
-    kindle_sim::set_thread_media_faults(Some(MediaFaultConfig::with_seed(77)));
+    Ambient { media_faults: Some(MediaFaultConfig::with_seed(77)), ..Ambient::default() }.publish();
     let armed = Machine::new(MachineConfig::small()).unwrap();
-    kindle_sim::set_thread_media_faults(None);
+    Ambient::default().publish();
     let clean = Machine::new(MachineConfig::small()).unwrap();
 
     assert_eq!(
@@ -89,8 +89,8 @@ fn ambient_model_arms_machines_built_on_this_thread() {
     assert!(clean.config().mem.faults.is_none(), "clearing the model must stick");
 
     // An explicit config always beats the ambient model.
-    kindle_sim::set_thread_media_faults(Some(MediaFaultConfig::with_seed(77)));
+    Ambient { media_faults: Some(MediaFaultConfig::with_seed(77)), ..Ambient::default() }.publish();
     let explicit = Machine::new(MachineConfig::small().with_media_faults(5)).unwrap();
-    kindle_sim::set_thread_media_faults(None);
+    Ambient::default().publish();
     assert_eq!(explicit.config().mem.faults.as_ref().map(|f| f.seed), Some(5));
 }

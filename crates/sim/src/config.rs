@@ -1,7 +1,5 @@
 //! Machine configuration (Table I defaults).
 
-use std::cell::Cell;
-
 use kindle_cache::HierarchyConfig;
 use kindle_hscc::HsccConfig;
 use kindle_mem::{MediaFaultConfig, MemConfig};
@@ -12,7 +10,6 @@ use kindle_types::Cycles;
 
 /// Process-persistence (checkpoint engine) setup.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CheckpointSetup {
     /// Checkpoint interval (paper default 10 ms, after Aurora).
     pub interval: Cycles,
@@ -28,7 +25,6 @@ impl Default for CheckpointSetup {
 
 /// Full machine configuration.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MachineConfig {
     /// Memory devices and physical layout (Table I).
     pub mem: MemConfig,
@@ -183,73 +179,6 @@ impl MachineConfig {
         self.patrol_interval = Some(interval);
         self.with_daemon(DaemonKind::Patrol)
     }
-}
-
-thread_local! {
-    /// Ambient media-fault model, so CLI flags and sweep drivers can
-    /// inject faults into machines whose construction sites they do not
-    /// control (mirrors the thread-local sanitizer installation in
-    /// `kindle_types::sanitize`).
-    static MEDIA_FAULTS: Cell<Option<MediaFaultConfig>> = const { Cell::new(None) };
-}
-
-/// Sets (or with `None` clears) the thread-local media-fault model.
-/// Machines built on this thread whose config leaves `mem.faults` unset
-/// pick it up; an explicit config always wins.
-pub fn set_thread_media_faults(faults: Option<MediaFaultConfig>) {
-    MEDIA_FAULTS.with(|s| s.set(faults));
-}
-
-/// The ambient media-fault model, if one is set on this thread. Public so
-/// fork-join executors can capture the caller's model and republish it on
-/// each worker thread (thread-locals do not cross host threads).
-pub fn thread_media_faults() -> Option<MediaFaultConfig> {
-    MEDIA_FAULTS.with(Cell::get)
-}
-
-thread_local! {
-    /// Ambient legacy-maps request (`--legacy-maps`), so equivalence
-    /// drivers can flip machines they do not construct onto the legacy
-    /// ordered-map stores. Same publication discipline as
-    /// [`MEDIA_FAULTS`]: captured by fork-join executors and republished
-    /// per worker.
-    static LEGACY_MAPS: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Sets (or with `false` clears) the thread-local legacy-maps request.
-/// Machines built on this thread have `mem.legacy_maps` forced on; the
-/// default `false` leaves configs untouched.
-pub fn set_thread_legacy_maps(legacy: bool) {
-    LEGACY_MAPS.with(|s| s.set(legacy));
-}
-
-/// Whether this thread requests legacy ordered-map stores. Public so
-/// fork-join executors can capture and republish it on worker threads.
-pub fn thread_legacy_maps() -> bool {
-    LEGACY_MAPS.with(Cell::get)
-}
-
-thread_local! {
-    /// Ambient far-tier backend choice (`--backend`), so CLI flags and
-    /// sweep drivers can swap the far tier under machines whose
-    /// construction sites they do not control. Same publication
-    /// discipline as [`MEDIA_FAULTS`]: captured by fork-join executors
-    /// and machine snapshots, republished per worker / on restore.
-    static BACKEND: Cell<Option<kindle_mem::Backend>> = const { Cell::new(None) };
-}
-
-/// Sets (or with `None` clears) the thread-local far-tier backend.
-/// Machines built on this thread whose config leaves `mem.backend` unset
-/// pick it up; an explicit config always wins.
-pub fn set_thread_backend(backend: Option<kindle_mem::Backend>) {
-    BACKEND.with(|s| s.set(backend));
-}
-
-/// The ambient far-tier backend, if one is set on this thread. Public so
-/// fork-join executors can capture the caller's choice and republish it
-/// on each worker thread (thread-locals do not cross host threads).
-pub fn thread_backend() -> Option<kindle_mem::Backend> {
-    BACKEND.with(Cell::get)
 }
 
 impl Default for MachineConfig {

@@ -25,17 +25,15 @@
 //! assert!(m.now().as_u64() > 0);
 //! ```
 
+pub mod ambient;
 pub mod config;
 pub mod daemon;
 pub mod hw;
 pub mod machine;
 pub mod report;
 
-pub use config::{
-    set_thread_backend, set_thread_legacy_maps, set_thread_media_faults, thread_backend,
-    thread_legacy_maps, thread_media_faults, CheckpointSetup, MachineConfig,
-    DEFAULT_PATROL_INTERVAL, DEFAULT_SCRUB_INTERVAL,
-};
+pub use ambient::Ambient;
+pub use config::{CheckpointSetup, MachineConfig, DEFAULT_PATROL_INTERVAL, DEFAULT_SCRUB_INTERVAL};
 pub use daemon::{CheckpointDaemon, KernelDaemon, MigrationDaemon, PatrolDaemon, ScrubDaemon};
 pub use hw::Hw;
 pub use machine::{Machine, MachineSnapshot, ReplayOptions, ReplayReport};

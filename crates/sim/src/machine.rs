@@ -19,6 +19,7 @@ use kindle_types::{
     Rng64, VirtAddr, CACHE_LINE,
 };
 
+use crate::ambient::Ambient;
 use crate::config::MachineConfig;
 use crate::daemon::{self, DaemonSlot, KernelDaemon};
 use crate::hw::Hw;
@@ -26,7 +27,6 @@ use crate::report::SimReport;
 
 /// Options for a trace replay.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ReplayOptions {
     /// Wrap the replay in an SSP failure-atomic section
     /// (`checkpoint_start` / `checkpoint_end`).
@@ -37,7 +37,6 @@ pub struct ReplayOptions {
 
 /// Summary of one replay.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ReplayReport {
     /// Operations replayed.
     pub ops: u64,
@@ -95,20 +94,21 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// Boots a machine.
+    /// Boots a machine. The thread's [`Ambient`] fills in `mem.faults`
+    /// and `mem.backend` when the config leaves them unset, and an ambient
+    /// `legacy_maps` forces the legacy store layout on.
     ///
     /// # Errors
     ///
     /// Propagates kernel/engine construction failures.
     pub fn new(mut cfg: MachineConfig) -> Result<Self> {
+        let ambient = Ambient::current();
         if cfg.mem.faults.is_none() {
-            cfg.mem.faults = crate::config::thread_media_faults();
+            cfg.mem.faults = ambient.media_faults;
         }
-        if crate::config::thread_legacy_maps() {
-            cfg.mem.legacy_maps = true;
-        }
+        cfg.mem.legacy_maps |= ambient.legacy_maps;
         if cfg.mem.backend.is_none() {
-            cfg.mem.backend = crate::config::thread_backend();
+            cfg.mem.backend = ambient.backend;
         }
         let mut hw = Hw::new(&cfg);
         let kcfg = KernelConfig {
@@ -996,7 +996,7 @@ impl Machine {
     /// hardware pools and data image, caches, TLBs, page tables (they live
     /// in the memory image), redo log and checkpoint area, kernel +
     /// scheduler + daemon registry, checksum/scrub/patrol state, and the
-    /// ambient fault-model epoch of the capturing thread.
+    /// capturing thread's [`Ambient`] knobs.
     ///
     /// The copy never carries power-cut wiring: a restored machine arms its
     /// own fresh [`PowerSwitch`] if it wants one. Cloning touches no
@@ -1020,9 +1020,7 @@ impl Machine {
             tlb_shootdowns: self.tlb_shootdowns,
             active_pid: self.active_pid,
             daemons: self.daemons.iter().map(|s| (s.kind, s.tid)).collect(),
-            ambient_faults: crate::config::thread_media_faults(),
-            ambient_legacy: crate::config::thread_legacy_maps(),
-            ambient_backend: crate::config::thread_backend(),
+            ambient: Ambient::current(),
         }
     }
 
@@ -1030,14 +1028,13 @@ impl Machine {
     /// usable, any number of machines can restore from it, and the caller
     /// may be on a different thread than the capturer).
     ///
-    /// Restoring republishes the captured ambient fault-model epoch on the
-    /// calling thread (so machines *constructed* later on this thread see
-    /// the same media-fault model the capturer had) and re-anchors the
-    /// sanitizer's current-thread stamp to the scheduler's running kthread.
+    /// Restoring republishes the captured [`Ambient`] on the calling
+    /// thread (so machines *constructed* later on this thread see the same
+    /// fault model, store layout and backend the capturer had) and
+    /// re-anchors the sanitizer's current-thread stamp to the scheduler's
+    /// running kthread.
     pub fn restore(snap: &MachineSnapshot) -> Self {
-        crate::config::set_thread_media_faults(snap.ambient_faults.clone());
-        crate::config::set_thread_legacy_maps(snap.ambient_legacy);
-        crate::config::set_thread_backend(snap.ambient_backend);
+        snap.ambient.publish();
         let m = Machine {
             cfg: snap.cfg.clone(),
             hw: snap.hw.clone(),
@@ -1088,24 +1085,13 @@ pub struct MachineSnapshot {
     tlb_shootdowns: u64,
     active_pid: Option<u32>,
     daemons: Vec<(DaemonKind, Option<ThreadId>)>,
-    /// The capturing thread's ambient media-fault model
-    /// ([`crate::config::thread_media_faults`]) — the fault-model *epoch*.
-    /// Without it, a worker forking on a thread whose ambient model differs
-    /// (or was never published) would build follow-on machines under a
-    /// different fault regime than the golden run, silently changing stuck
-    /// cells, wear state, and retry behaviour mid-sweep.
-    ambient_faults: Option<kindle_mem::MediaFaultConfig>,
-    /// The capturing thread's ambient legacy-maps request
-    /// ([`crate::config::thread_legacy_maps`]), republished for the same
-    /// reason: follow-on machines a worker builds must pick the same store
-    /// layout as the golden run's.
-    ambient_legacy: bool,
-    /// The capturing thread's ambient far-tier backend choice
-    /// ([`crate::config::thread_backend`]), republished for the same
-    /// reason: follow-on machines a worker builds must run the same
-    /// backend as the golden run's, or timing and fault semantics would
-    /// diverge mid-sweep.
-    ambient_backend: Option<kindle_mem::Backend>,
+    /// The capturing thread's [`Ambient`] knobs — the fault-model,
+    /// store-layout and backend *epoch*. Without it, a worker forking on a
+    /// thread whose ambient value differs (or was never published) would
+    /// build follow-on machines under a different fault regime, store
+    /// layout or far tier than the golden run, silently changing stuck
+    /// cells, wear state, retry behaviour and timing mid-sweep.
+    ambient: Ambient,
 }
 
 // Snapshots cross fork-join worker boundaries by shared reference, so the

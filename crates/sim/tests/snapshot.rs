@@ -12,7 +12,7 @@
 
 use kindle_mem::MediaFaultConfig;
 use kindle_os::PtMode;
-use kindle_sim::{Machine, MachineConfig, MachineSnapshot};
+use kindle_sim::{Ambient, Machine, MachineConfig, MachineSnapshot};
 use kindle_types::{AccessKind, Cycles, MapFlags, PhysMem, Prot, VirtAddr, PAGE_SIZE};
 
 const PAGES: u64 = 4;
@@ -160,32 +160,46 @@ fn snapshot_survives_mutation_of_the_original() {
 #[test]
 fn snapshot_republishes_ambient_backend_on_restore() {
     // Sweep forks restore on arbitrary worker threads: the capturer's
-    // ambient far-tier backend must travel with the snapshot (like the
-    // fault model and legacy-maps epoch) so follow-on machines a worker
-    // builds run the same backend as the golden run.
-    kindle_sim::set_thread_backend(Some(kindle_mem::Backend::SttRam));
+    // whole ambient value (fault model, legacy-maps epoch and far-tier
+    // backend) must travel with the snapshot so follow-on machines a
+    // worker builds run the same configuration as the golden run.
+    let ambient = Ambient {
+        media_faults: Some(MediaFaultConfig::with_seed(77)),
+        legacy_maps: true,
+        backend: Some(kindle_mem::Backend::SttRam),
+    };
+    ambient.publish();
     let m = Machine::new(MachineConfig::small()).unwrap();
     assert_eq!(
         m.hw.mc.backend(),
         kindle_mem::Backend::SttRam,
         "machines must pick up the ambient backend when the config leaves it unset"
     );
+    assert_eq!(m.config().mem.faults.map(|f| f.seed), Some(77));
+    assert!(m.config().mem.legacy_maps);
     let snap = m.snapshot();
-    kindle_sim::set_thread_backend(None);
+    Ambient::default().publish();
 
     let restored = Machine::restore(&snap);
     assert_eq!(restored.hw.mc.backend(), kindle_mem::Backend::SttRam);
+    let republished = Ambient::current();
     assert_eq!(
-        kindle_sim::thread_backend(),
+        republished.backend,
         Some(kindle_mem::Backend::SttRam),
         "restore must republish the captured ambient backend"
     );
-    kindle_sim::set_thread_backend(None);
+    assert_eq!(
+        republished.media_faults.map(|f| f.seed),
+        Some(77),
+        "restore must republish the captured ambient fault model"
+    );
+    assert!(republished.legacy_maps, "restore must republish the captured legacy-maps request");
+    Ambient::default().publish();
 
     // An explicit config always beats the ambient choice.
-    kindle_sim::set_thread_backend(Some(kindle_mem::Backend::Numa));
+    Ambient { backend: Some(kindle_mem::Backend::Numa), ..Ambient::default() }.publish();
     let explicit = Machine::new(MachineConfig::small().with_backend(kindle_mem::Backend::Cxl));
-    kindle_sim::set_thread_backend(None);
+    Ambient::default().publish();
     assert_eq!(explicit.unwrap().hw.mc.backend(), kindle_mem::Backend::Cxl);
 }
 
