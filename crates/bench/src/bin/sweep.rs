@@ -16,8 +16,8 @@
 use kindle_bench::*;
 use kindle_core::os::PtMode;
 use kindle_faults::{
-    run_data_integrity_sweep_strategy, run_nvm_write_sweep_instrumented, run_stuck_sweep_jobs,
-    run_stuck_sweep_strategy, run_sweep_strategy, SweepStrategy, SweepTelemetry,
+    run_data_integrity_sweep, run_nvm_write_sweep_instrumented, run_stuck_sweep, run_sweep,
+    SweepOutcome, SweepStrategy, SweepTelemetry,
 };
 
 /// Fixed sweep seed (same one the crash-sweep acceptance tests pin).
@@ -38,77 +38,28 @@ fn timed<T>(f: impl FnOnce() -> Result<T>) -> Result<(T, f64)> {
 fn verify_all_families(jobs: usize, stride: u64) -> Result<()> {
     println!("VERIFY: snapshot-forked digests vs replay-from-zero, all families");
     rule(78);
-    for (family, forked, replayed) in [
-        (
-            "boundary/rebuild",
-            run_sweep_strategy(PtMode::Rebuild, SEED, false, jobs, SweepStrategy::SnapshotFork)?,
-            run_sweep_strategy(PtMode::Rebuild, SEED, false, jobs, SweepStrategy::ReplayFromZero)?,
-        ),
-        (
-            "boundary/persistent",
-            run_sweep_strategy(PtMode::Persistent, SEED, false, jobs, SweepStrategy::SnapshotFork)?,
-            run_sweep_strategy(
-                PtMode::Persistent,
-                SEED,
-                false,
-                jobs,
-                SweepStrategy::ReplayFromZero,
-            )?,
-        ),
-        (
-            "threaded",
-            run_sweep_strategy(PtMode::Rebuild, SEED, true, jobs, SweepStrategy::SnapshotFork)?,
-            run_sweep_strategy(PtMode::Rebuild, SEED, true, jobs, SweepStrategy::ReplayFromZero)?,
-        ),
-        (
-            "stuck",
-            run_stuck_sweep_strategy(
-                PtMode::Persistent,
-                SEED,
-                STUCK_CELLS,
-                jobs,
-                SweepStrategy::SnapshotFork,
-            )?,
-            run_stuck_sweep_strategy(
-                PtMode::Persistent,
-                SEED,
-                STUCK_CELLS,
-                jobs,
-                SweepStrategy::ReplayFromZero,
-            )?,
-        ),
-    ] {
-        assert_eq!(forked, replayed, "{family}: forked sweep diverged from replay-from-zero");
-        println!("{family:<22} {} points  digest {:#018x}  ok", forked.boundaries, forked.digest);
-    }
     // The write-granular family is verified at a coarse stride here; the
     // bench loop below cross-checks the full stride-1 enumeration of both
     // page-table modes anyway, so repeating it inside `--verify-replay`
     // would only double the oracle's O(n²) bill.
-    let stride = stride.max(16);
-    let forked = run_nvm_write_sweep_instrumented(
-        PtMode::Rebuild,
-        SEED,
-        stride,
-        jobs,
-        SweepStrategy::SnapshotFork,
-    )?
-    .0;
-    let replayed = run_nvm_write_sweep_instrumented(
-        PtMode::Rebuild,
-        SEED,
-        stride,
-        jobs,
-        SweepStrategy::ReplayFromZero,
-    )?
-    .0;
-    assert_eq!(forked, replayed, "nvm-write: forked sweep diverged from replay-from-zero");
-    println!(
-        "{:<22} {} points  digest {:#018x}  ok",
-        "nvm-write", forked.boundaries, forked.digest
-    );
-    let forked = run_data_integrity_sweep_strategy(SEED, 6, jobs, SweepStrategy::SnapshotFork)?;
-    let replayed = run_data_integrity_sweep_strategy(SEED, 6, jobs, SweepStrategy::ReplayFromZero)?;
+    let nvm_stride = stride.max(16);
+    let families: [(&str, &dyn Fn(SweepStrategy) -> Result<SweepOutcome>); 5] = [
+        ("boundary/rebuild", &|s| run_sweep(PtMode::Rebuild, SEED, false, jobs, s)),
+        ("boundary/persistent", &|s| run_sweep(PtMode::Persistent, SEED, false, jobs, s)),
+        ("threaded", &|s| run_sweep(PtMode::Rebuild, SEED, true, jobs, s)),
+        ("stuck", &|s| run_stuck_sweep(PtMode::Persistent, SEED, STUCK_CELLS, jobs, s)),
+        ("nvm-write", &|s| {
+            Ok(run_nvm_write_sweep_instrumented(PtMode::Rebuild, SEED, nvm_stride, jobs, s)?.0)
+        }),
+    ];
+    for (family, run) in families {
+        let forked = run(SweepStrategy::SnapshotFork)?;
+        let replayed = run(SweepStrategy::ReplayFromZero)?;
+        assert_eq!(forked, replayed, "{family}: forked sweep diverged from replay-from-zero");
+        println!("{family:<22} {} points  digest {:#018x}  ok", forked.boundaries, forked.digest);
+    }
+    let forked = run_data_integrity_sweep(SEED, 6, jobs, SweepStrategy::SnapshotFork)?;
+    let replayed = run_data_integrity_sweep(SEED, 6, jobs, SweepStrategy::ReplayFromZero)?;
     assert_eq!(forked, replayed, "data-integrity: round-tripped sweep diverged from straight run");
     println!(
         "{:<22} {} points  digest {:#018x}  ok",
@@ -137,33 +88,15 @@ fn main() -> Result<()> {
     for (i, (label, mode)) in
         [("rebuild", PtMode::Rebuild), ("persistent", PtMode::Persistent)].into_iter().enumerate()
     {
-        let ((serial, telemetry), serial_ms) = timed(|| {
-            run_nvm_write_sweep_instrumented(mode, SEED, stride, 1, SweepStrategy::SnapshotFork)
-        })?;
-        let (parallel, parallel_ms) = timed(|| {
-            Ok(run_nvm_write_sweep_instrumented(
-                mode,
-                SEED,
-                stride,
-                jobs,
-                SweepStrategy::SnapshotFork,
-            )?
-            .0)
-        })?;
+        let sweep =
+            |jobs, strategy| run_nvm_write_sweep_instrumented(mode, SEED, stride, jobs, strategy);
+        let ((serial, telemetry), serial_ms) = timed(|| sweep(1, SweepStrategy::SnapshotFork))?;
+        let (parallel, parallel_ms) = timed(|| Ok(sweep(jobs, SweepStrategy::SnapshotFork)?.0))?;
         assert_eq!(serial, parallel, "jobs=1 vs jobs={jobs} must agree bit-for-bit");
         // The replay-from-zero oracle on the same points: its wall clock is
         // what the fork tier is measured against, and its outcome must be
         // byte-identical.
-        let (replayed, replay_ms) = timed(|| {
-            Ok(run_nvm_write_sweep_instrumented(
-                mode,
-                SEED,
-                stride,
-                jobs,
-                SweepStrategy::ReplayFromZero,
-            )?
-            .0)
-        })?;
+        let (replayed, replay_ms) = timed(|| Ok(sweep(jobs, SweepStrategy::ReplayFromZero)?.0))?;
         assert_eq!(serial, replayed, "forked sweep diverged from replay-from-zero");
         let speedup = serial_ms / parallel_ms.max(1e-9);
         let snapshot_speedup = replay_ms / parallel_ms.max(1e-9);
@@ -194,20 +127,11 @@ fn main() -> Result<()> {
     // thousands of stuck cells, the two-entry ECP budget and scrubd armed.
     // Distinct JSON field names keep its (much smaller) point counts out
     // of the write-sweep golden ranges above.
-    let ((serial, stuck_telemetry), serial_ms) = timed(|| {
-        let out = run_stuck_sweep_strategy(
-            PtMode::Persistent,
-            SEED,
-            STUCK_CELLS,
-            1,
-            SweepStrategy::SnapshotFork,
-        )?;
-        // The boundary sweep reuses the nvm-write golden machinery, so its
-        // telemetry comes from a second (cheap) recorded golden run.
-        Ok((out, SweepTelemetry::default()))
-    })?;
-    let (parallel, parallel_ms) =
-        timed(|| run_stuck_sweep_jobs(PtMode::Persistent, SEED, STUCK_CELLS, jobs))?;
+    let stuck = |jobs| {
+        run_stuck_sweep(PtMode::Persistent, SEED, STUCK_CELLS, jobs, SweepStrategy::SnapshotFork)
+    };
+    let (serial, serial_ms) = timed(|| stuck(1))?;
+    let (parallel, parallel_ms) = timed(|| stuck(jobs))?;
     assert_eq!(serial, parallel, "stuck sweep: jobs=1 vs jobs={jobs} must agree bit-for-bit");
     println!(
         "{:<10} | {:>6} | {:>9} | {:>9} | {:>9} | {:>9} | {:>7}",
@@ -225,7 +149,6 @@ fn main() -> Result<()> {
          \"serial_ms\": {serial_ms:.1}, \"parallel_ms\": {parallel_ms:.1}}}",
         serial.boundaries, serial.recovered, serial.digest
     ));
-    let _ = stuck_telemetry;
     body.push_str("\n]");
     timing.push_str("\n]");
     harness.maybe_json_body(&body);

@@ -42,9 +42,8 @@
 //! [`kindle_core::parallel::par_map`] workers; the snapshot pool is shared
 //! across workers by reference (snapshots are `Send + Sync`). The digest
 //! folds each point's observables **in crash-point order** regardless of
-//! which worker finished first, so `KINDLE_JOBS=1` and `KINDLE_JOBS=8`
-//! produce identical [`SweepOutcome`]s — the determinism tests pin exactly
-//! that.
+//! which worker finished first, so `jobs = 1` and `jobs = 8` produce
+//! identical [`SweepOutcome`]s — the determinism tests pin exactly that.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -56,7 +55,8 @@ use kindle_os::PtMode;
 use kindle_sim::{Machine, MachineConfig, MachineSnapshot};
 use kindle_types::sanitize::{self, Event, InvariantChecker, Sanitizer, ThreadId, ViolationLog};
 use kindle_types::{
-    checksum64, AccessKind, Cycles, MapFlags, PhysMem, Prot, Result, Rng64, VirtAddr, PAGE_SIZE,
+    checksum64, AccessKind, Cycles, KindleError, MapFlags, PhysMem, Prot, Result, Rng64, VirtAddr,
+    PAGE_SIZE,
 };
 
 use crate::plan::{FaultPlan, FaultPoint};
@@ -90,13 +90,13 @@ pub enum SweepStrategy {
 
 /// What the golden run learned about the workload.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct GoldenRun {
+struct GoldenRun {
     /// Total persist-boundary events (= crash points to sweep).
-    pub boundaries: u64,
+    boundaries: u64,
     /// Total NVM line writes.
-    pub nvm_writes: u64,
+    nvm_writes: u64,
     /// `(boundary_index, rip_marker)` of each checkpoint publish.
-    pub publishes: Vec<(u64, u64)>,
+    publishes: Vec<(u64, u64)>,
 }
 
 /// Aggregate result of one full sweep.
@@ -421,7 +421,7 @@ impl SnapshotPool {
     }
 }
 
-/// Builds the public [`GoldenRun`] from a finished counter.
+/// Builds the [`GoldenRun`] from a finished counter.
 ///
 /// # Panics
 ///
@@ -447,22 +447,8 @@ fn golden_of(c: &BoundaryCounter) -> GoldenRun {
 }
 
 /// Runs the workload once with a passive counter installed and returns the
-/// boundary enumeration.
-///
-/// # Errors
-///
-/// Propagates machine/workload failures.
-///
-/// # Panics
-///
-/// Panics if the workload did not publish one checkpoint per phase (the
-/// harness itself would be broken).
-pub fn golden_run(mode: PtMode) -> Result<GoldenRun> {
-    golden_run_cfg(&config(mode, false))
-}
-
-/// The golden enumeration for an explicit machine config (the stuck-cell
-/// sweep builds one with media faults and the scrub daemon armed).
+/// boundary enumeration (the replay-from-zero oracle's golden run; the
+/// stuck-cell sweep passes a config with media faults and scrubd armed).
 fn golden_run_cfg(cfg: &MachineConfig) -> Result<GoldenRun> {
     let counter = Rc::new(RefCell::new(BoundaryCounter::new()));
     let guard = sanitize::install(Box::new(SharedSanitizer(counter.clone())));
@@ -560,49 +546,43 @@ fn run_to_cut(
     pool: Option<&SnapshotPool>,
     point: FaultPoint,
 ) -> Result<CutRun> {
-    let rec = pool.and_then(|p| match point {
-        FaultPoint::Boundary(b) => p.nearest_boundary(b),
-        FaultPoint::NvmWrite(w) => p.nearest_nvm_write(w),
+    // The trigger counts suffix events from zero, so a forked plan is
+    // re-based onto the events the snapshot's prefix already consumed.
+    let fork = pool.and_then(|p| match point {
+        FaultPoint::Boundary(b) => {
+            p.nearest_boundary(b).map(|r| (r, FaultPoint::Boundary(b - r.boundaries)))
+        }
+        FaultPoint::NvmWrite(w) => {
+            p.nearest_nvm_write(w).map(|r| (r, FaultPoint::NvmWrite(w - r.nvm_writes)))
+        }
         FaultPoint::Cycle(_) => None,
     });
     let ic = InvariantChecker::new();
     let ic_log = ic.log();
-    let steps = workload_steps();
-    if let Some(rec) = rec {
-        // The trigger counts suffix events from zero, so the plan is
-        // re-based onto the events the snapshot's prefix already consumed.
-        let plan = match point {
-            FaultPoint::Boundary(b) => FaultPlan::at_boundary(b - rec.boundaries),
-            FaultPoint::NvmWrite(w) => FaultPlan::at_nvm_write(w - rec.nvm_writes),
-            FaultPoint::Cycle(c) => FaultPlan::at_cycle(c),
-        };
-        let rc = RecoveryChecker::with_publishes(&rec.publishes);
-        let rc_log = rc.log();
-        let trigger = PowerCutTrigger::new(plan, vec![Box::new(ic), Box::new(rc)]);
-        let switch = trigger.switch();
-        let guard = sanitize::install(Box::new(trigger));
-        let mut m = Machine::restore(&rec.snap);
-        m.hw.mc.arm_power_cut(switch.clone());
-        let mut state = rec.state.clone();
-        for &step in &steps[rec.step..] {
-            if switch.is_cut() {
-                break;
-            }
-            exec_step(&mut m, rec.pid, &mut state, step)?;
+    let (plan, rc) = match fork {
+        Some((rec, rebased)) => {
+            (FaultPlan { point: rebased }, RecoveryChecker::with_publishes(&rec.publishes))
         }
-        assert!(switch.is_cut(), "{point:?} never reached from snapshot; golden run out of sync");
-        return Ok(CutRun { m, pid: rec.pid, _guard: guard, ic_log, rc_log });
-    }
-    let rc = RecoveryChecker::new();
+        None => (FaultPlan { point }, RecoveryChecker::new()),
+    };
     let rc_log = rc.log();
-    let trigger = PowerCutTrigger::new(FaultPlan { point }, vec![Box::new(ic), Box::new(rc)]);
+    let trigger = PowerCutTrigger::new(plan, vec![Box::new(ic), Box::new(rc)]);
     let switch = trigger.switch();
     let guard = sanitize::install(Box::new(trigger));
-    let mut m = Machine::new(cfg.clone())?;
-    m.hw.mc.arm_power_cut(switch.clone());
-    let pid = m.spawn_process()?;
-    let mut state = WorkloadState::default();
-    for &step in &steps {
+    let (mut m, pid, mut state, first) = match fork {
+        Some((rec, _)) => {
+            let mut m = Machine::restore(&rec.snap);
+            m.hw.mc.arm_power_cut(switch.clone());
+            (m, rec.pid, rec.state.clone(), rec.step)
+        }
+        None => {
+            let mut m = Machine::new(cfg.clone())?;
+            m.hw.mc.arm_power_cut(switch.clone());
+            let pid = m.spawn_process()?;
+            (m, pid, WorkloadState::default(), 0)
+        }
+    };
+    for &step in &workload_steps()[first..] {
         if switch.is_cut() {
             break;
         }
@@ -612,45 +592,36 @@ fn run_to_cut(
     Ok(CutRun { m, pid, _guard: guard, ic_log, rc_log })
 }
 
-/// Crashes one machine at boundary `b` (tearing with `rng`), recovers,
+/// Crashes one machine at `point` (tearing with `rng`), recovers,
 /// verifies, and returns whether the workload process survived plus this
-/// crash point's digest observables.
-fn crash_at_boundary(
+/// crash point's digest observables. A boundary cut must recover exactly
+/// the last durable checkpoint of the golden run. A write-granular cut
+/// can land mid-protocol, so its expected checkpoint is not derivable from
+/// the golden enumeration; the check is that recovery lands on *some*
+/// phase checkpoint (or cleanly on none). Either way there must be zero
+/// checker violations and the machine must be operational afterwards.
+fn crash_at(
     cfg: &MachineConfig,
     golden: &GoldenRun,
     pool: Option<&SnapshotPool>,
-    b: u64,
+    point: FaultPoint,
     rng: &mut Rng64,
 ) -> Result<(bool, Vec<u64>)> {
-    let CutRun { mut m, pid, _guard, ic_log, rc_log } =
-        run_to_cut(cfg, pool, FaultPoint::Boundary(b))?;
+    let CutRun { mut m, pid, _guard, ic_log, rc_log } = run_to_cut(cfg, pool, point)?;
 
     m.crash_torn(rng)?;
     let report = m.recover()?;
 
-    // The recovered context must be exactly the last durable checkpoint.
-    let recovered = match expected_marker(golden, b) {
-        Some(marker) => {
-            assert_eq!(
-                report.recovered_pids,
-                vec![pid],
-                "boundary {b}: process must recover ({report:?})"
-            );
-            let rip = m.kernel.process(pid)?.regs.rip;
-            assert_eq!(
-                rip, marker,
-                "boundary {b}: recovered rip {rip:#x}, want last durable checkpoint {marker:#x}"
-            );
-            true
+    let recovered = report.recovered_pids.contains(&pid);
+    let rip = if recovered { m.kernel.process(pid)?.regs.rip } else { 0 };
+    let checkpoint_ok = match point {
+        FaultPoint::Boundary(b) => {
+            report.recovered_pids.len() == usize::from(recovered)
+                && recovered.then_some(rip) == expected_marker(golden, b)
         }
-        None => {
-            assert!(
-                report.recovered_pids.is_empty(),
-                "boundary {b}: no checkpoint was durable yet, got {report:?}"
-            );
-            false
-        }
+        _ => !recovered || PHASE_MARKERS.contains(&rip),
     };
+    assert!(checkpoint_ok, "{point:?}: recovered rip {rip:#x} is not the checkpoint ({report:?})");
 
     // The machine must still be fully operational after recovery.
     let cont_pid = if recovered { pid } else { m.spawn_process()? };
@@ -660,12 +631,13 @@ fn crash_at_boundary(
     m.checkpoint_now()?;
 
     let ic_violations = ic_log.take();
-    assert!(ic_violations.is_empty(), "boundary {b}: invariant violations {ic_violations:?}");
+    assert!(ic_violations.is_empty(), "{point:?}: invariant violations {ic_violations:?}");
     let rc_violations = rc_log.take();
-    assert!(rc_violations.is_empty(), "boundary {b}: recovery violations {rc_violations:?}");
+    assert!(rc_violations.is_empty(), "{point:?}: recovery violations {rc_violations:?}");
 
+    let (FaultPoint::Boundary(n) | FaultPoint::NvmWrite(n) | FaultPoint::Cycle(n)) = point;
     let mut words = vec![
-        b,
+        n,
         u64::from(recovered),
         if recovered { m.kernel.process(pid)?.regs.rip } else { 0 },
         report.log_records_replayed,
@@ -677,8 +649,8 @@ fn crash_at_boundary(
         m.now().as_u64(),
     ];
     // With scrubd armed the scrub/correction work is part of what the seed
-    // must pin, so its counters join the digest (plain sweeps append
-    // nothing, keeping their digests comparable with older runs).
+    // must pin, so its counters join the digest (sweeps without scrubd
+    // append nothing, keeping their digests comparable with older runs).
     if let Some(s) = &m.scrub {
         let st = s.stats();
         let media = m.hw.mc.stats().media;
@@ -694,71 +666,27 @@ fn crash_at_boundary(
     Ok((recovered, words))
 }
 
-/// Runs the full sweep for one page-table scheme: golden enumeration, then
-/// one torn crash + verified recovery per boundary. All tearing randomness
-/// derives from `seed`, so equal seeds must yield equal
-/// [`SweepOutcome::digest`]s.
-///
-/// # Errors
-///
-/// Propagates machine/workload/recovery failures.
-///
-/// # Panics
-///
-/// Panics when a recovery check fails (wrong checkpoint recovered, checker
-/// violations, golden run out of sync).
-pub fn run_sweep(mode: PtMode, seed: u64) -> Result<SweepOutcome> {
-    run_sweep_strategy(mode, seed, false, parallel::default_jobs(), SweepStrategy::default())
+/// Which crash points a sweep cuts at.
+enum Cuts {
+    /// Every persist-boundary event.
+    Boundaries,
+    /// Every `stride`-th NVM line write.
+    NvmWrites(u64),
 }
 
-/// [`run_sweep`] with an explicit worker count (`jobs = 1` is the exact
-/// serial loop; any count produces the identical outcome).
-///
-/// # Errors
-///
-/// As [`run_sweep`].
-pub fn run_sweep_jobs(mode: PtMode, seed: u64, jobs: usize) -> Result<SweepOutcome> {
-    run_sweep_strategy(mode, seed, false, jobs, SweepStrategy::default())
-}
-
-/// [`run_sweep`] with every checkpoint executing on the simulated
-/// checkpoint daemon kthread. The thread interleaving is replayed
-/// deterministically from the seed: the schedule is a pure function of the
-/// (seed-fixed) event sequence, so equal seeds still mean equal digests.
-///
-/// # Errors
-///
-/// As [`run_sweep`].
-pub fn run_sweep_threaded(mode: PtMode, seed: u64) -> Result<SweepOutcome> {
-    run_sweep_strategy(mode, seed, true, parallel::default_jobs(), SweepStrategy::default())
-}
-
-/// [`run_sweep`] with an explicit worker count and crash-point execution
-/// strategy — the cross-check entry point: both strategies must return the
-/// identical [`SweepOutcome`], digest included.
-///
-/// # Errors
-///
-/// As [`run_sweep`].
-pub fn run_sweep_strategy(
-    mode: PtMode,
-    seed: u64,
-    threaded: bool,
-    jobs: usize,
-    strategy: SweepStrategy,
-) -> Result<SweepOutcome> {
-    Ok(run_sweep_cfg(&config(mode, threaded), seed, jobs, &[], strategy)?.0)
-}
-
-/// The boundary sweep against an explicit machine config. `extra_words`
-/// prefixes the digest so variants (e.g. different stuck-cell counts)
-/// cannot collide.
-fn run_sweep_cfg(
+/// The one crash-family fan-out: golden run (recorded into a snapshot pool
+/// under [`SweepStrategy::SnapshotFork`]), then one torn crash + verified
+/// recovery per crash point on [`parallel::par_map`] workers, folded in
+/// crash-point order. The digest is `extra ++ [boundaries, nvm_writes]`,
+/// then `stride` for write-granular sweeps, then every point's words;
+/// `extra` keeps variants (e.g. stuck-cell counts) from colliding.
+fn sweep_cfg(
     cfg: &MachineConfig,
     seed: u64,
     jobs: usize,
-    extra_words: &[u64],
     strategy: SweepStrategy,
+    cuts: Cuts,
+    extra: &[u64],
 ) -> Result<(SweepOutcome, SweepTelemetry)> {
     let (golden, pool) = match strategy {
         SweepStrategy::SnapshotFork => {
@@ -767,16 +695,25 @@ fn run_sweep_cfg(
         }
         SweepStrategy::ReplayFromZero => (golden_run_cfg(cfg)?, None),
     };
+    let mut digest_words = extra.to_vec();
+    digest_words.extend([golden.boundaries, golden.nvm_writes]);
+    let points: Vec<FaultPoint> = match cuts {
+        Cuts::Boundaries => (0..golden.boundaries).map(FaultPoint::Boundary).collect(),
+        Cuts::NvmWrites(stride) => {
+            digest_words.push(stride);
+            (0..golden.nvm_writes).step_by(stride as usize).map(FaultPoint::NvmWrite).collect()
+        }
+    };
+    let total = points.len() as u64;
     let golden_ref = &golden;
     let pool_ref = pool.as_ref();
-    let results = parallel::par_map(jobs, (0..golden.boundaries).collect(), move |b| {
-        // A fresh generator per boundary keeps crash points independent:
-        // inserting a boundary does not shift every later tear.
-        let mut rng = Rng64::new(seed ^ (b + 1).wrapping_mul(GOLDEN_GAMMA));
-        crash_at_boundary(cfg, golden_ref, pool_ref, b, &mut rng)
+    let results = parallel::par_map(jobs, points, move |point| {
+        // A fresh generator per point keeps crash points independent:
+        // inserting a point does not shift every later tear.
+        let (FaultPoint::Boundary(n) | FaultPoint::NvmWrite(n) | FaultPoint::Cycle(n)) = point;
+        let mut rng = Rng64::new(seed ^ (n + 1).wrapping_mul(GOLDEN_GAMMA));
+        crash_at(cfg, golden_ref, pool_ref, point, &mut rng)
     });
-    let mut digest_words = extra_words.to_vec();
-    digest_words.extend([golden.boundaries, golden.nvm_writes]);
     let mut recovered = 0u64;
     for point in results {
         let (rec, words) = point?;
@@ -788,12 +725,36 @@ fn run_sweep_cfg(
         nvm_writes: golden.nvm_writes,
         ..SweepTelemetry::default()
     });
-    let outcome = SweepOutcome {
-        boundaries: golden.boundaries,
-        recovered,
-        digest: checksum64(&digest_words),
-    };
+    let outcome = SweepOutcome { boundaries: total, recovered, digest: checksum64(&digest_words) };
     Ok((outcome, telemetry))
+}
+
+/// Runs the full sweep for one page-table scheme: golden enumeration, then
+/// one torn crash + verified recovery per boundary. All tearing randomness
+/// derives from `seed`, so equal seeds must yield equal
+/// [`SweepOutcome::digest`]s at any `jobs` (`jobs = 1` is the exact
+/// serial loop) and under either `strategy` — the cross-check: both
+/// strategies must return the identical outcome, digest included.
+/// `threaded` runs every checkpoint on the simulated checkpoint daemon
+/// kthread; the interleaving is a pure function of the (seed-fixed) event
+/// sequence, so equal seeds still mean equal digests.
+///
+/// # Errors
+///
+/// Propagates machine/workload/recovery failures.
+///
+/// # Panics
+///
+/// Panics when a recovery check fails (wrong checkpoint recovered, checker
+/// violations, golden run out of sync).
+pub fn run_sweep(
+    mode: PtMode,
+    seed: u64,
+    threaded: bool,
+    jobs: usize,
+    strategy: SweepStrategy,
+) -> Result<SweepOutcome> {
+    Ok(sweep_cfg(&config(mode, threaded), seed, jobs, strategy, Cuts::Boundaries, &[])?.0)
 }
 
 /// The stuck-cell sweep: the full boundary crash/recovery sweep run
@@ -807,37 +768,12 @@ fn run_sweep_cfg(
 ///
 /// # Errors
 ///
-/// Propagates machine/workload/recovery failures.
+/// As [`run_sweep`].
 ///
 /// # Panics
 ///
-/// Panics when a recovery check fails (wrong checkpoint recovered, checker
-/// violations, golden run out of sync).
-pub fn run_stuck_sweep(mode: PtMode, seed: u64, stuck: usize) -> Result<SweepOutcome> {
-    run_stuck_sweep_strategy(mode, seed, stuck, parallel::default_jobs(), SweepStrategy::default())
-}
-
-/// [`run_stuck_sweep`] with an explicit worker count (`jobs = 1` is the
-/// exact serial loop; any count produces the identical outcome).
-///
-/// # Errors
-///
-/// As [`run_stuck_sweep`].
-pub fn run_stuck_sweep_jobs(
-    mode: PtMode,
-    seed: u64,
-    stuck: usize,
-    jobs: usize,
-) -> Result<SweepOutcome> {
-    run_stuck_sweep_strategy(mode, seed, stuck, jobs, SweepStrategy::default())
-}
-
-/// [`run_stuck_sweep`] with an explicit worker count and strategy.
-///
-/// # Errors
-///
-/// As [`run_stuck_sweep`].
-pub fn run_stuck_sweep_strategy(
+/// As [`run_sweep`].
+pub fn run_stuck_sweep(
     mode: PtMode,
     seed: u64,
     stuck: usize,
@@ -845,102 +781,24 @@ pub fn run_stuck_sweep_strategy(
     strategy: SweepStrategy,
 ) -> Result<SweepOutcome> {
     let cfg = stuck_config(mode, seed, stuck);
-    Ok(run_sweep_cfg(&cfg, seed, jobs, &[stuck as u64], strategy)?.0)
-}
-
-/// Crashes one machine right after its `w`-th NVM line write, recovers,
-/// verifies, and appends the observables to `digest_words`. Unlike a
-/// boundary cut, a write-granular cut can land mid-protocol, so the
-/// expected checkpoint is not derivable from the golden enumeration;
-/// instead the check is that recovery lands on *some* phase checkpoint (or
-/// cleanly on none), with zero checker violations, and that the machine is
-/// operational afterwards.
-fn crash_at_nvm_write(
-    cfg: &MachineConfig,
-    pool: Option<&SnapshotPool>,
-    w: u64,
-    rng: &mut Rng64,
-) -> Result<(bool, Vec<u64>)> {
-    let CutRun { mut m, pid, _guard, ic_log, rc_log } =
-        run_to_cut(cfg, pool, FaultPoint::NvmWrite(w))?;
-
-    m.crash_torn(rng)?;
-    let report = m.recover()?;
-
-    let recovered = report.recovered_pids.contains(&pid);
-    if recovered {
-        let rip = m.kernel.process(pid)?.regs.rip;
-        assert!(
-            PHASE_MARKERS.contains(&rip),
-            "NVM write {w}: recovered rip {rip:#x} is not a phase checkpoint"
-        );
-    }
-
-    // The machine must still be fully operational after recovery.
-    let cont_pid = if recovered { pid } else { m.spawn_process()? };
-    let cva = m.mmap(cont_pid, PAGE_SIZE as u64, Prot::RW, MapFlags::NVM)?;
-    m.access(cont_pid, cva, AccessKind::Write)?;
-    m.kernel.process_mut(cont_pid)?.regs.rip = CONTINUATION_MARKER;
-    m.checkpoint_now()?;
-
-    let ic_violations = ic_log.take();
-    assert!(ic_violations.is_empty(), "NVM write {w}: invariant violations {ic_violations:?}");
-    let rc_violations = rc_log.take();
-    assert!(rc_violations.is_empty(), "NVM write {w}: recovery violations {rc_violations:?}");
-
-    let words = vec![
-        w,
-        u64::from(recovered),
-        if recovered { m.kernel.process(pid)?.regs.rip } else { 0 },
-        report.log_records_replayed,
-        report.torn_log_records,
-        report.copy_fallbacks,
-        report.frames_repaired,
-        report.pages_remapped,
-        report.dram_entries_dropped,
-        m.now().as_u64(),
-    ];
-    Ok((recovered, words))
+    Ok(sweep_cfg(&cfg, seed, jobs, strategy, Cuts::Boundaries, &[stuck as u64])?.0)
 }
 
 /// The write-granular sweep: cuts power after every `stride`-th NVM line
 /// write of the workload (stride 1 = exhaustive; the exhaustive run is
 /// CI tier 2 — the `sweep` job times it serial vs parallel via the bench
 /// `sweep` binary). Returns a [`SweepOutcome`] whose `boundaries` counts
-/// the crash points exercised.
+/// the crash points exercised, plus the sweep's [`SweepTelemetry`] (the
+/// `sweep` bench binary publishes it as the `SWEEP_timing.json` CI
+/// artifact).
 ///
 /// # Errors
 ///
-/// Propagates machine/workload/recovery failures.
+/// As [`run_sweep`].
 ///
 /// # Panics
 ///
 /// Panics when a recovery check fails.
-pub fn run_nvm_write_sweep(mode: PtMode, seed: u64, stride: u64) -> Result<SweepOutcome> {
-    run_nvm_write_sweep_jobs(mode, seed, stride, parallel::default_jobs())
-}
-
-/// [`run_nvm_write_sweep`] with an explicit worker count.
-///
-/// # Errors
-///
-/// As [`run_nvm_write_sweep`].
-pub fn run_nvm_write_sweep_jobs(
-    mode: PtMode,
-    seed: u64,
-    stride: u64,
-    jobs: usize,
-) -> Result<SweepOutcome> {
-    Ok(run_nvm_write_sweep_instrumented(mode, seed, stride, jobs, SweepStrategy::default())?.0)
-}
-
-/// [`run_nvm_write_sweep`] with an explicit worker count and strategy,
-/// also returning the sweep's [`SweepTelemetry`] (the `sweep` bench binary
-/// publishes it as the `SWEEP_timing.json` CI artifact).
-///
-/// # Errors
-///
-/// As [`run_nvm_write_sweep`].
 pub fn run_nvm_write_sweep_instrumented(
     mode: PtMode,
     seed: u64,
@@ -948,40 +806,7 @@ pub fn run_nvm_write_sweep_instrumented(
     jobs: usize,
     strategy: SweepStrategy,
 ) -> Result<(SweepOutcome, SweepTelemetry)> {
-    let cfg = config(mode, false);
-    let (golden, pool) = match strategy {
-        SweepStrategy::SnapshotFork => {
-            let (g, p) = recorded_golden_cfg(&cfg)?;
-            (g, Some(p))
-        }
-        SweepStrategy::ReplayFromZero => (golden_run_cfg(&cfg)?, None),
-    };
-    let stride = stride.max(1);
-    let cfg_ref = &cfg;
-    let pool_ref = pool.as_ref();
-    let points: Vec<u64> = (0..golden.nvm_writes).step_by(stride as usize).collect();
-    let results = parallel::par_map(jobs, points.clone(), move |w| {
-        let mut rng = Rng64::new(seed ^ (w + 1).wrapping_mul(GOLDEN_GAMMA));
-        crash_at_nvm_write(cfg_ref, pool_ref, w, &mut rng)
-    });
-    let mut digest_words = vec![golden.boundaries, golden.nvm_writes, stride];
-    let mut recovered = 0u64;
-    for point in results {
-        let (rec, words) = point?;
-        recovered += u64::from(rec);
-        digest_words.extend(words);
-    }
-    let telemetry = pool.as_ref().map(|p| p.telemetry(&golden)).unwrap_or(SweepTelemetry {
-        boundaries: golden.boundaries,
-        nvm_writes: golden.nvm_writes,
-        ..SweepTelemetry::default()
-    });
-    let outcome = SweepOutcome {
-        boundaries: points.len() as u64,
-        recovered,
-        digest: checksum64(&digest_words),
-    };
-    Ok((outcome, telemetry))
+    sweep_cfg(&config(mode, false), seed, jobs, strategy, Cuts::NvmWrites(stride.max(1)), &[])
 }
 
 /// NVM data pages the integrity workload maps and fills per grid point.
@@ -1048,7 +873,9 @@ fn integrity_config(budget: u32, daemons: bool, seed: u64) -> MachineConfig {
 /// cross-check instead pins that a round trip is perfectly transparent to
 /// live patrol/kill behaviour, byte-identical digest included.
 ///
-/// Returns `(healed, poisoned, killed, digest_words)`.
+/// Returns `(healed, poisoned, killed, digest_words)`, or
+/// [`KindleError::InvalidArgument`] when the backend has no media fault
+/// model to seed stuck cells into.
 fn run_integrity_point(
     budget: u32,
     daemons: bool,
@@ -1101,7 +928,11 @@ fn run_integrity_point(
         let (page, line) = (slot / LINES_PER_PAGE, slot % LINES_PER_PAGE);
         let line_pa = frames[page as usize].base().as_u64() + line * 64;
         let bit = rng.gen_below(512) as u32;
-        assert!(m.hw.mc.degrade_line_bit(line_pa, bit), "stuck cell seeding failed");
+        if !m.hw.mc.degrade_line_bit(line_pa, bit) {
+            return Err(KindleError::InvalidArgument(
+                "stuck-cell seeding needs a media fault model; this backend has none",
+            ));
+        }
         degraded_pages.insert(page);
     }
     let stuck = chosen.len() as u64;
@@ -1167,7 +998,7 @@ fn run_integrity_point(
         assert!(victim_dead);
         let err = m.access(victim, va, AccessKind::Read).unwrap_err();
         assert!(
-            matches!(err, kindle_types::KindleError::NoSuchProcess(p) if p == victim),
+            matches!(err, KindleError::NoSuchProcess(p) if p == victim),
             "post-kill access fails instead of returning corrupt bytes: {err:?}"
         );
     }
@@ -1199,48 +1030,22 @@ fn run_integrity_point(
 /// points, each seeding `stuck` stuck cells under *data* frames and
 /// verifying the checksum-patrol/poison/graceful-degradation contract (see
 /// [`run_integrity_point`]'s contract list). Equal seeds must yield equal
-/// digests regardless of worker count.
+/// digests at any `jobs` (`jobs = 1` is the exact serial loop). The two
+/// strategies must produce identical outcomes: the snapshot-fork arm runs
+/// each point's patrol/kill tail on a machine that made a
+/// `snapshot → restore` round trip mid-point.
 ///
 /// # Errors
 ///
-/// Propagates machine/workload failures.
+/// Propagates machine/workload failures, and returns
+/// [`KindleError::InvalidArgument`] when `stuck > 0` on a far-tier backend
+/// without a media fault model (stuck cells cannot be seeded there).
 ///
 /// # Panics
 ///
 /// Panics when a point violates the integrity contract (missed heal,
 /// corrupt read, surviving owner of a lost page, sanitizer violations).
-pub fn run_data_integrity_sweep(seed: u64, stuck: usize) -> Result<DataIntegrityOutcome> {
-    run_data_integrity_sweep_strategy(
-        seed,
-        stuck,
-        parallel::default_jobs(),
-        SweepStrategy::default(),
-    )
-}
-
-/// [`run_data_integrity_sweep`] with an explicit worker count (`jobs = 1`
-/// is the exact serial loop; any count produces the identical outcome).
-///
-/// # Errors
-///
-/// As [`run_data_integrity_sweep`].
-pub fn run_data_integrity_sweep_jobs(
-    seed: u64,
-    stuck: usize,
-    jobs: usize,
-) -> Result<DataIntegrityOutcome> {
-    run_data_integrity_sweep_strategy(seed, stuck, jobs, SweepStrategy::default())
-}
-
-/// [`run_data_integrity_sweep`] with an explicit worker count and
-/// strategy. The two strategies must produce identical outcomes: the
-/// snapshot-fork arm runs each point's patrol/kill tail on a machine that
-/// made a `snapshot → restore` round trip mid-point.
-///
-/// # Errors
-///
-/// As [`run_data_integrity_sweep`].
-pub fn run_data_integrity_sweep_strategy(
+pub fn run_data_integrity_sweep(
     seed: u64,
     stuck: usize,
     jobs: usize,
@@ -1281,7 +1086,7 @@ mod tests {
 
     #[test]
     fn golden_run_enumerates_boundaries() {
-        let g = golden_run(PtMode::Rebuild).unwrap();
+        let g = golden_run_cfg(&config(PtMode::Rebuild, false)).unwrap();
         assert!(g.boundaries > 10, "workload too small to sweep: {g:?}");
         assert!(g.nvm_writes > 0);
         assert_eq!(g.publishes.len(), 3);
@@ -1292,8 +1097,9 @@ mod tests {
 
     #[test]
     fn golden_run_is_deterministic() {
-        let a = golden_run(PtMode::Rebuild).unwrap();
-        let b = golden_run(PtMode::Rebuild).unwrap();
+        let cfg = config(PtMode::Rebuild, false);
+        let a = golden_run_cfg(&cfg).unwrap();
+        let b = golden_run_cfg(&cfg).unwrap();
         assert_eq!(a, b);
     }
 

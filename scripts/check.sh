@@ -11,6 +11,9 @@ cargo build --release
 echo "== tests (workspace) =="
 cargo test --workspace -q
 
+echo "== tests (perfbench self-tests, pinned sweep digests) =="
+cargo test -q --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "== allowlist justification guard =="
 # Policy: fix, don't allowlist. Every check-allowlist.txt entry must be
 # preceded by a `#` justification comment on the line directly above it.
