@@ -37,20 +37,12 @@ fn main() -> Result<()> {
     println!("DRAM-class backends (numa, cxl) shrink the write-path tax that makes");
     println!("the persistent scheme attractive on PCM.");
 
-    let mut body = String::from("{");
-    for (i, (b, rows)) in grid.iter().enumerate() {
-        let Some(r) = rows.first() else { continue };
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&format!(
-            "\n  \"{0}_rebuild_ms\": {1:.3},\n  \"{0}_persistent_ms\": {2:.3}",
-            b.name(),
-            r.rebuild_ms,
-            r.persistent_ms
-        ));
-    }
-    body.push_str("\n}\n");
-    harness.maybe_json_body(&body);
+    let fields = grid.iter().filter_map(|(b, rows)| Some((b.name(), rows.first()?)));
+    harness.maybe_json(json::obj(fields.flat_map(|(name, r)| {
+        [
+            (format!("{name}_rebuild_ms"), format!("{:.3}", r.rebuild_ms)),
+            (format!("{name}_persistent_ms"), format!("{:.3}", r.persistent_ms)),
+        ]
+    })))?;
     harness.finish()
 }

@@ -76,23 +76,25 @@ fn main() -> Result<()> {
         interval.as_u64()
     );
 
-    let body = format!(
-        "[\n  {{\"grid\": \"integrity\", \"points\": {}, \"data_healed\": {}, \
-         \"data_poisoned\": {}, \"procs_killed\": {}, \"digest\": \"{:#018x}\", \
-         \"serial_ms\": {serial_ms:.1}, \"parallel_ms\": {parallel_ms:.1}}},\n  \
-         {{\"grid\": \"patrol-probe\", \"interval_cycles\": {}, \"patrol_passes\": {}, \
-         \"patrol_frames_checked\": {}, \"patrol_lines_detected\": {}}}\n]",
-        serial.points,
-        serial.data_healed,
-        serial.data_poisoned,
-        serial.procs_killed,
-        serial.digest,
-        interval.as_u64(),
-        patrol.passes,
-        patrol.frames_checked,
-        patrol.lines_detected
-    );
-    harness.maybe_json_body(&body);
+    harness.maybe_json(json::arr([
+        json::obj([
+            ("grid", json::str("integrity")),
+            ("points", serial.points.to_string()),
+            ("data_healed", serial.data_healed.to_string()),
+            ("data_poisoned", serial.data_poisoned.to_string()),
+            ("procs_killed", serial.procs_killed.to_string()),
+            ("digest", json::str(&format!("{:#018x}", serial.digest))),
+            ("serial_ms", format!("{serial_ms:.1}")),
+            ("parallel_ms", format!("{parallel_ms:.1}")),
+        ]),
+        json::obj([
+            ("grid", json::str("patrol-probe")),
+            ("interval_cycles", interval.as_u64().to_string()),
+            ("patrol_passes", patrol.passes.to_string()),
+            ("patrol_frames_checked", patrol.frames_checked.to_string()),
+            ("patrol_lines_detected", patrol.lines_detected.to_string()),
+        ]),
+    ]))?;
     rule(78);
     println!("digest equality verified: parallel integrity sweeps are byte-identical to serial.");
     harness.finish()

@@ -18,8 +18,8 @@ fn main() -> Result<()> {
     );
     rule(66);
     let rows = run_fig4a(&p)?;
-    harness.maybe_csv(&rows);
-    harness.maybe_json(&rows);
+    harness.maybe_csv(&rows)?;
+    harness.maybe_json(json::rows(&rows))?;
     for r in &rows {
         println!(
             "{:>8} | {:>12} | {:>14} | {:>8.2}x",

@@ -11,8 +11,8 @@ fn main() -> Result<()> {
     println!("{:>7} | {:>12} | {:>14}", "stride", "rebuild ms", "persistent ms");
     rule(56);
     let rows = run_fig4b(&p)?;
-    harness.maybe_csv(&rows);
-    harness.maybe_json(&rows);
+    harness.maybe_csv(&rows)?;
+    harness.maybe_json(json::rows(&rows))?;
     for r in &rows {
         println!("{:>7} | {:>12} | {:>14}", r.stride, ms(r.rebuild_ms), ms(r.persistent_ms));
     }

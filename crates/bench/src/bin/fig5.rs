@@ -17,8 +17,8 @@ fn main() -> Result<()> {
     );
     rule(78);
     let rows = run_fig5(&p)?;
-    harness.maybe_csv(&rows);
-    harness.maybe_json(&rows);
+    harness.maybe_csv(&rows)?;
+    harness.maybe_json(json::rows(&rows))?;
     for r in &rows {
         println!(
             "{:<12} | {:>5} ms | {:>12} | {:>10} | {:>9.3}x | {:>8.1}%",

@@ -15,8 +15,8 @@ fn main() -> Result<()> {
     );
     rule(96);
     let rows = run_fig6(&p)?;
-    harness.maybe_csv(&rows);
-    harness.maybe_json(&rows);
+    harness.maybe_csv(&rows)?;
+    harness.maybe_json(json::rows(&rows))?;
     for r in &rows {
         println!(
             "{:<12} | {:>4} | {:>11} | {:>11} | {:>9.3}x | {:>9} | {:>7.2} | {:>7.2}",

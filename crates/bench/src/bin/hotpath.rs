@@ -57,13 +57,8 @@ struct Side {
 }
 
 impl Side {
-    /// Builds one side; `legacy` picks the store layout. The ambient
-    /// `--legacy-maps` request is suspended around `Machine::new` so a
-    /// global flag cannot leak into the flat side — the comparison is
-    /// meaningless unless exactly one side is legacy.
+    /// Builds one side; `legacy` picks the store layout.
     fn build(legacy: bool, pages: u64) -> Result<Side> {
-        let ambient = sim::Ambient::current();
-        sim::Ambient { legacy_maps: false, ..ambient }.publish();
         let mut faults = mem::MediaFaultConfig::with_seed(5);
         faults.correction_entries = STUCK_CORRECTION_ENTRIES;
         let mut cfg = MachineConfig::small().with_pt_mode(PtMode::Persistent);
@@ -78,9 +73,7 @@ impl Side {
         cfg.caches.l1.assoc = 2;
         cfg.caches.l2.assoc = 2;
         cfg.caches.llc.assoc = 4;
-        let built = Machine::new(cfg);
-        ambient.publish();
-        let mut m = built?;
+        let mut m = Machine::new(cfg)?;
 
         let pid = m.spawn_process()?;
         let va = m.mmap(pid, pages * 4096, Prot::RW, MapFlags::NVM)?;
@@ -168,10 +161,10 @@ fn main() -> Result<()> {
     println!("{:<28} {:>12.2}", "speedup (legacy/flat)", hotpath_speedup);
     println!("reports: byte-identical");
 
-    harness.maybe_json_body(&format!(
-        "{{\n  \"mlines_per_sec\": {mlines_per_sec:.3},\n  \
-         \"hotpath_speedup\": {hotpath_speedup:.3},\n  \"lines_accessed\": {}\n}}\n",
-        flat.lines
-    ));
+    harness.maybe_json(json::obj([
+        ("mlines_per_sec", format!("{mlines_per_sec:.3}")),
+        ("hotpath_speedup", format!("{hotpath_speedup:.3}")),
+        ("lines_accessed", flat.lines.to_string()),
+    ]))?;
     harness.finish()
 }

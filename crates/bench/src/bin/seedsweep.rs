@@ -157,31 +157,19 @@ fn main() -> Result<()> {
          across {nseeds} seeds"
     );
 
-    let mut body = String::from("[");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&format!(
-            "\n  {{\"seed\": {}, \"fig4a_ms\": {:.3}, \"fig4a_overhead\": {:.4}, \
-             \"table4_ms\": {:.3}, \"table4_overhead\": {:.4}, \
-             \"data_healed\": {}, \"data_poisoned\": {}}}",
-            r.seed,
-            r.fig4a_ms,
-            r.fig4a_overhead,
-            r.table4_ms,
-            r.table4_overhead,
-            r.data_healed,
-            r.data_poisoned
-        ));
-    }
-    body.push_str("\n]");
-    harness.maybe_json_body(&body);
+    harness.maybe_json(json::arr(rows.iter().map(|r| {
+        json::obj([
+            ("seed", r.seed.to_string()),
+            ("fig4a_ms", format!("{:.3}", r.fig4a_ms)),
+            ("fig4a_overhead", format!("{:.4}", r.fig4a_overhead)),
+            ("table4_ms", format!("{:.3}", r.table4_ms)),
+            ("table4_overhead", format!("{:.4}", r.table4_overhead)),
+            ("data_healed", r.data_healed.to_string()),
+            ("data_poisoned", r.data_poisoned.to_string()),
+        ])
+    })))?;
     if let Some(path) = harness.plot_path() {
-        match std::fs::write(path, render_svg(&rows)) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("plot write failed: {e}"),
-        }
+        write_artifact(path, &render_svg(&rows))?;
     }
     harness.finish()
 }

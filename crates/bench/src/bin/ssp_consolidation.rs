@@ -17,8 +17,8 @@ fn main() -> Result<()> {
     );
     rule(70);
     let rows = run_consolidation_sweep(WorkloadKind::YcsbMem, ops, 42, &sweeps)?;
-    harness.maybe_csv(&rows);
-    harness.maybe_json(&rows);
+    harness.maybe_csv(&rows)?;
+    harness.maybe_json(json::rows(&rows))?;
     for r in &rows {
         println!(
             "{:<12} | {:>11} ms | {:>9.3}x | {:>14}",

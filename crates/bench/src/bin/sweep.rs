@@ -83,11 +83,9 @@ fn main() -> Result<()> {
         "mode", "points", "recovered", "serial ms", "par ms", "replay ms", "snap spd"
     );
     rule(78);
-    let mut body = String::from("[");
-    let mut timing = String::from("[");
-    for (i, (label, mode)) in
-        [("rebuild", PtMode::Rebuild), ("persistent", PtMode::Persistent)].into_iter().enumerate()
-    {
+    let mut rows = Vec::new();
+    let mut timing = Vec::new();
+    for (label, mode) in [("rebuild", PtMode::Rebuild), ("persistent", PtMode::Persistent)] {
         let sweep =
             |jobs, strategy| run_nvm_write_sweep_instrumented(mode, SEED, stride, jobs, strategy);
         let ((serial, telemetry), serial_ms) = timed(|| sweep(1, SweepStrategy::SnapshotFork))?;
@@ -110,18 +108,18 @@ fn main() -> Result<()> {
             ms(replay_ms),
             snapshot_speedup
         );
-        if i > 0 {
-            body.push(',');
-            timing.push(',');
-        }
-        body.push_str(&format!(
-            "\n  {{\"mode\": \"{label}\", \"points\": {}, \"recovered\": {}, \
-             \"digest\": \"{:#018x}\", \"serial_ms\": {serial_ms:.1}, \
-             \"parallel_ms\": {parallel_ms:.1}, \"speedup\": {speedup:.3}, \
-             \"replay_ms\": {replay_ms:.1}, \"snapshot_speedup\": {snapshot_speedup:.3}}}",
-            serial.boundaries, serial.recovered, serial.digest
-        ));
-        timing.push_str(&timing_row(label, &telemetry, snapshot_speedup));
+        rows.push(json::obj([
+            ("mode", json::str(label)),
+            ("points", serial.boundaries.to_string()),
+            ("recovered", serial.recovered.to_string()),
+            ("digest", json::str(&format!("{:#018x}", serial.digest))),
+            ("serial_ms", format!("{serial_ms:.1}")),
+            ("parallel_ms", format!("{parallel_ms:.1}")),
+            ("speedup", format!("{speedup:.3}")),
+            ("replay_ms", format!("{replay_ms:.1}")),
+            ("snapshot_speedup", format!("{snapshot_speedup:.3}")),
+        ]));
+        timing.push(timing_row(label, &telemetry, snapshot_speedup));
     }
     // The degraded-media regime: the persistent-mode boundary sweep with
     // thousands of stuck cells, the two-entry ECP budget and scrubd armed.
@@ -143,24 +141,24 @@ fn main() -> Result<()> {
         "-",
         format!("{STUCK_CELLS} cells")
     );
-    body.push_str(&format!(
-        ",\n  {{\"mode\": \"stuck-persistent\", \"stuck_cells\": {STUCK_CELLS}, \
-         \"stuck_points\": {}, \"stuck_recovered\": {}, \"digest\": \"{:#018x}\", \
-         \"serial_ms\": {serial_ms:.1}, \"parallel_ms\": {parallel_ms:.1}}}",
-        serial.boundaries, serial.recovered, serial.digest
-    ));
-    body.push_str("\n]");
-    timing.push_str("\n]");
-    harness.maybe_json_body(&body);
+    rows.push(json::obj([
+        ("mode", json::str("stuck-persistent")),
+        ("stuck_cells", STUCK_CELLS.to_string()),
+        ("stuck_points", serial.boundaries.to_string()),
+        ("stuck_recovered", serial.recovered.to_string()),
+        ("digest", json::str(&format!("{:#018x}", serial.digest))),
+        ("serial_ms", format!("{serial_ms:.1}")),
+        ("parallel_ms", format!("{parallel_ms:.1}")),
+    ]));
+    harness.maybe_json(json::arr(rows))?;
     if let Some(path) = harness.timing_path() {
-        let data = format!(
-            "{{\n\"jobs\": {jobs},\n\"stride\": {stride},\n\"verified_replay\": {},\n\"rows\": {timing}\n}}\n",
-            harness.verify_replay()
-        );
-        match std::fs::write(path, data) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("timing write failed: {e}"),
-        }
+        let doc = json::obj([
+            ("jobs", jobs.to_string()),
+            ("stride", stride.to_string()),
+            ("verified_replay", harness.verify_replay().to_string()),
+            ("rows", json::arr(timing)),
+        ]);
+        write_artifact(path, &format!("{doc}\n"))?;
     }
     rule(78);
     println!("digest equality verified: forked sweeps are byte-identical to replay.");
@@ -170,16 +168,15 @@ fn main() -> Result<()> {
 /// One `SWEEP_timing.json` row: the family's golden enumeration sizes, the
 /// snapshot pool's retention behaviour and the measured fork-tier speedup.
 fn timing_row(family: &str, t: &SweepTelemetry, snapshot_speedup: f64) -> String {
-    format!(
-        "\n  {{\"family\": \"{family}\", \"boundaries\": {}, \"nvm_writes\": {}, \
-         \"snapshots_offered\": {}, \"snapshots_retained\": {}, \"pool_high_water\": {}, \
-         \"pool_capacity\": {}, \"pool_stride\": {}, \"snapshot_speedup\": {snapshot_speedup:.3}}}",
-        t.boundaries,
-        t.nvm_writes,
-        t.snapshots_offered,
-        t.snapshots_retained,
-        t.pool_high_water,
-        t.pool_capacity,
-        t.pool_stride,
-    )
+    json::obj([
+        ("family", json::str(family)),
+        ("boundaries", t.boundaries.to_string()),
+        ("nvm_writes", t.nvm_writes.to_string()),
+        ("snapshots_offered", t.snapshots_offered.to_string()),
+        ("snapshots_retained", t.snapshots_retained.to_string()),
+        ("pool_high_water", t.pool_high_water.to_string()),
+        ("pool_capacity", t.pool_capacity.to_string()),
+        ("pool_stride", t.pool_stride.to_string()),
+        ("snapshot_speedup", format!("{snapshot_speedup:.3}")),
+    ])
 }

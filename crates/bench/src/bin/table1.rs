@@ -5,7 +5,6 @@
 //! KD013 lint keeps latency/endurance fields inside the backend layer.
 
 use kindle_bench::*;
-use kindle_core::mem::MemoryBackend;
 
 fn main() -> Result<()> {
     let harness = Harness::from_args();
@@ -39,29 +38,20 @@ fn main() -> Result<()> {
         cfg.caches.llc.size_bytes >> 20
     );
     println!("{:<28} 3 GHz in-order x86-64", "CPU");
-    harness.maybe_json_body(&config_json(&cfg, far));
+    // Table I has no experiment rows: its "rows" value is the one
+    // configuration object.
+    harness.maybe_json(json::obj([
+        ("dram_banks", cfg.mem.dram.banks.to_string()),
+        ("nvm_read_ns", far.read_latency_ns().to_string()),
+        ("nvm_write_service_ns", far.write_latency_ns().to_string()),
+        ("nvm_write_buffer", far.write_buffer_entries().to_string()),
+        ("nvm_read_buffer", far.read_buffer_entries().to_string()),
+        ("dram_gb", (cfg.mem.layout.total(MemKind::Dram) >> 30).to_string()),
+        ("nvm_gb", (cfg.mem.layout.total(MemKind::Nvm) >> 30).to_string()),
+        ("l1_kib", (cfg.caches.l1.size_bytes >> 10).to_string()),
+        ("l2_kib", (cfg.caches.l2.size_bytes >> 10).to_string()),
+        ("llc_mib", (cfg.caches.llc.size_bytes >> 20).to_string()),
+        ("cpu_freq_ghz", types::CPU_FREQ_GHZ.to_string()),
+    ]))?;
     harness.finish()
-}
-
-/// Renders the Table I configuration as a JSON object. Table I has no
-/// experiment rows, so this is hand-written rather than going through
-/// `experiments::to_json`; the harness wraps it in the bench envelope.
-fn config_json(cfg: &MachineConfig, far: &dyn MemoryBackend) -> String {
-    format!(
-        "{{\n  \"dram_banks\": {},\n  \"nvm_read_ns\": {},\n  \"nvm_write_service_ns\": {},\n  \
-         \"nvm_write_buffer\": {},\n  \"nvm_read_buffer\": {},\n  \"dram_gb\": {},\n  \
-         \"nvm_gb\": {},\n  \"l1_kib\": {},\n  \"l2_kib\": {},\n  \"llc_mib\": {},\n  \
-         \"cpu_freq_ghz\": {}\n}}\n",
-        cfg.mem.dram.banks,
-        far.read_latency_ns(),
-        far.write_latency_ns(),
-        far.write_buffer_entries(),
-        far.read_buffer_entries(),
-        cfg.mem.layout.total(MemKind::Dram) >> 30,
-        cfg.mem.layout.total(MemKind::Nvm) >> 30,
-        cfg.caches.l1.size_bytes >> 10,
-        cfg.caches.l2.size_bytes >> 10,
-        cfg.caches.llc.size_bytes >> 20,
-        types::CPU_FREQ_GHZ
-    )
 }

@@ -46,8 +46,8 @@ fn main() -> Result<()> {
             write_pct: 100.0 * (ops - reads) as f64 / ops as f64,
         });
     }
-    harness.maybe_csv(&rows);
-    harness.maybe_json(&rows);
+    harness.maybe_csv(&rows)?;
+    harness.maybe_json(json::rows(&rows))?;
     for r in &rows {
         println!(
             "{:<12} | {:>10} | {:>6.0} | {:>7.0}",

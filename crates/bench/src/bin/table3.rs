@@ -11,8 +11,8 @@ fn main() -> Result<()> {
     println!("{:>15} | {:>16} | {:>12}", "Alloc/Free Size", "Persistent (ms)", "Rebuild (ms)");
     rule(58);
     let rows = run_table3(&p)?;
-    harness.maybe_csv(&rows);
-    harness.maybe_json(&rows);
+    harness.maybe_csv(&rows)?;
+    harness.maybe_json(json::rows(&rows))?;
     for r in &rows {
         println!("{:>12} MiB | {:>16} | {:>12}", r.churn_mb, ms(r.persistent_ms), ms(r.rebuild_ms));
     }

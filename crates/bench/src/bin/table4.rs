@@ -14,8 +14,8 @@ fn main() -> Result<()> {
     );
     rule(70);
     let rows = run_table4(&p)?;
-    harness.maybe_csv(&rows);
-    harness.maybe_json(&rows);
+    harness.maybe_csv(&rows)?;
+    harness.maybe_json(json::rows(&rows))?;
     for r in &rows {
         let interval = if r.interval_ms >= 1000.0 {
             format!("{:.0} s", r.interval_ms / 1000.0)

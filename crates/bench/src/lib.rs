@@ -4,12 +4,14 @@
 
 pub use kindle_core::*;
 
+pub mod json;
+
 use kindle_core::types::sanitize::{self, Installed, InvariantChecker, ViolationLog};
 
 /// Flag summary printed when an unknown or malformed argument is seen.
 pub const USAGE: &str = "[--quick] [--sanitize] [--faults <seed>] [--stuck <N>] \
      [--patrol <interval-us>] [--jobs <N>] [--csv <path>] [--json <path>] [--plot <path>] \
-     [--timing <path>] [--verify-replay] [--legacy-maps] [--backend <name>]";
+     [--timing <path>] [--verify-replay] [--backend <name>]";
 
 /// Per-line ECP correction budget armed alongside `--stuck`: two entries
 /// absorb every realistically seeded cell (three uniform cells landing in
@@ -30,10 +32,9 @@ pub const STUCK_CORRECTION_ENTRIES: u32 = 2;
 /// * `--faults <seed>` arms the deterministic NVM media-fault model
 ///   (wear-out, stuck cells, retry-then-retire) in every machine the
 ///   experiment builds on this thread — the figures can be regenerated
-///   on degrading media without touching experiment code. This flag,
-///   `--legacy-maps` and `--backend` are published together as one
-///   [`sim::Ambient`] value, which fork-join workers and machine
-///   snapshots carry along.
+///   on degrading media without touching experiment code. This flag and
+///   `--backend` are published together as one [`sim::Ambient`] value,
+///   which fork-join workers and machine snapshots carry along.
 /// * `--stuck <N>` scatters `N` stuck-at cells over the NVM range and
 ///   enables a two-entry per-line ECP correction budget so the cells are
 ///   absorbed at write time rather than silently corrupting stored data.
@@ -51,20 +52,14 @@ pub const STUCK_CORRECTION_ENTRIES: u32 = 2;
 ///   grids run on (default: `KINDLE_JOBS`, else available parallelism).
 ///   Results are byte-identical at any worker count.
 /// * `--json <path>` makes [`Harness::maybe_json`] write the rows inside
-///   an envelope carrying `jobs` and wall-clock `elapsed_ms`, which the
-///   CI bench-smoke job diffs against golden ranges.
+///   an envelope carrying `jobs`, wall-clock `elapsed_ms` and `backend`,
+///   which the CI bench-smoke job diffs against golden ranges.
 /// * `--timing <path>` publishes a secondary timing-artifact path
 ///   ([`Harness::timing_path`]); the `sweep` binary writes its
 ///   `SWEEP_timing.json` telemetry there.
 /// * `--verify-replay` asks sweep-style binaries to cross-check the
 ///   snapshot-forked execution against the replay-from-zero oracle
 ///   ([`Harness::verify_replay`]); the digests must be byte-identical.
-/// * `--legacy-maps` makes every machine the experiment builds on this
-///   thread use the legacy ordered-map memory-controller stores instead
-///   of the flat direct-indexed tables. Output must be byte-identical;
-///   only throughput changes (this is the `hotpath` benchmark's
-///   comparison baseline, and an escape hatch for bisecting the flat
-///   layout).
 /// * `--backend <name>` swaps the far-tier memory backend
 ///   ([`mem::Backend::registry`]: `pcm`, `numa`, `sttram`, `cxl`, ...)
 ///   under every machine the experiment builds on this thread. The
@@ -109,20 +104,6 @@ impl Harness {
         }
     }
 
-    /// Infallible wrapper kept for tests and simple callers.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any malformed command line (unknown flag, missing or
-    /// unparsable value).
-    #[must_use]
-    pub fn from_arg_list(args: &[String]) -> Self {
-        match Self::try_from_arg_list(args) {
-            Ok(h) => h,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Testable core of [`Harness::from_args`]: validates every flag and
     /// activates the requested machinery.
     ///
@@ -142,7 +123,6 @@ impl Harness {
         let mut plot_path = None;
         let mut timing_path = None;
         let mut verify_replay = false;
-        let mut legacy_maps = false;
         let mut backend = None;
         let mut it = args.iter().skip(1);
         while let Some(arg) = it.next() {
@@ -193,7 +173,6 @@ impl Harness {
                     timing_path = Some(it.next().ok_or("--timing requires a path")?.clone());
                 }
                 "--verify-replay" => verify_replay = true,
-                "--legacy-maps" => legacy_maps = true,
                 "--backend" => {
                     let v = it.next().ok_or_else(|| {
                         format!("--backend requires a name (registered: {})", mem::Backend::names())
@@ -224,7 +203,7 @@ impl Harness {
         });
         // Without `--backend` the ambient backend stays unset, which is
         // byte-identical to an explicit `--backend pcm`.
-        sim::Ambient { media_faults, legacy_maps, backend }.publish();
+        sim::Ambient { media_faults, legacy_maps: false, backend }.publish();
         let (guard, log) = if sanitize_requested {
             let checker = InvariantChecker::new();
             let log = checker.log();
@@ -301,40 +280,35 @@ impl Harness {
     }
 
     /// Writes rows as CSV when `--csv <path>` was passed.
-    pub fn maybe_csv<R: kindle_core::experiments::CsvRow>(&self, rows: &[R]) {
-        let Some(path) = &self.csv_path else { return };
-        match std::fs::write(path, kindle_core::experiments::to_csv(rows)) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("csv write failed: {e}"),
-        }
+    ///
+    /// # Errors
+    ///
+    /// [`KindleError::InvalidArgument`] when the file cannot be written.
+    pub fn maybe_csv<R: experiments::CsvRow>(&self, rows: &[R]) -> Result<()> {
+        let Some(path) = &self.csv_path else { return Ok(()) };
+        write_artifact(path, &experiments::to_csv(rows))
     }
 
-    /// Writes rows as JSON when `--json <path>` was passed, wrapped in the
-    /// bench envelope (`jobs`, `elapsed_ms`, `rows`) consumed by the CI
-    /// bench-smoke job's golden-range diff.
-    pub fn maybe_json<R: kindle_core::experiments::CsvRow>(&self, rows: &[R]) {
-        self.maybe_json_body(&kindle_core::experiments::to_json(rows));
-    }
-
-    /// [`Harness::maybe_json`] for a pre-rendered JSON value (used by
-    /// binaries whose payload is not a row array, e.g. Table I's config).
-    pub fn maybe_json_body(&self, body: &str) {
-        let Some(path) = &self.json_path else { return };
+    /// Writes `rows` (rendered JSON, usually [`json::rows`]) when
+    /// `--json <path>` was passed, wrapped in the bench envelope (`jobs`,
+    /// `elapsed_ms`, `backend`, `rows`) consumed by the CI bench-smoke
+    /// job's golden-range diff.
+    ///
+    /// # Errors
+    ///
+    /// [`KindleError::InvalidArgument`] when the file cannot be written.
+    pub fn maybe_json(&self, rows: String) -> Result<()> {
+        let Some(path) = &self.json_path else { return Ok(()) };
         // Wall-clock time is confined to this envelope field: it is host
         // time for CI trend lines, never simulated time (KD001 keeps wall
         // clocks out of the simulation crates; the bench crate is exempt).
-        let elapsed_ms = self.started.elapsed().as_millis();
-        let data = format!(
-            "{{\n\"jobs\": {},\n\"elapsed_ms\": {},\n\"backend\": \"{}\",\n\"rows\": {}\n}}\n",
-            self.jobs,
-            elapsed_ms,
-            self.backend.name(),
-            body.trim_end()
-        );
-        match std::fs::write(path, data) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("json write failed: {e}"),
-        }
+        let envelope = json::obj([
+            ("jobs", self.jobs.to_string()),
+            ("elapsed_ms", self.started.elapsed().as_millis().to_string()),
+            ("backend", json::str(self.backend.name())),
+            ("rows", rows),
+        ]);
+        write_artifact(path, &format!("{envelope}\n"))
     }
 
     /// Tears the harness down: clears the published [`sim::Ambient`],
@@ -362,6 +336,25 @@ impl Harness {
     }
 }
 
+/// Writes one bench artifact (CSV, JSON, SVG) and reports it on stderr.
+///
+/// # Errors
+///
+/// [`KindleError::InvalidArgument`] when the file cannot be written; the
+/// path and the I/O error are printed first.
+pub fn write_artifact(path: &str, data: &str) -> Result<()> {
+    match std::fs::write(path, data) {
+        Ok(()) => {
+            eprintln!("wrote {path}");
+            Ok(())
+        }
+        Err(e) => {
+            eprintln!("cannot write {path}: {e}");
+            Err(KindleError::InvalidArgument("cannot write a bench artifact"))
+        }
+    }
+}
+
 /// Prints a rule line of width `w`.
 pub fn rule(w: usize) {
     println!("{}", "-".repeat(w));
@@ -386,9 +379,13 @@ mod tests {
         list.iter().map(|s| (*s).to_string()).collect()
     }
 
+    fn harness(list: &[&str]) -> Harness {
+        Harness::try_from_arg_list(&args(list)).unwrap()
+    }
+
     #[test]
     fn harness_plain_is_inert() {
-        let h = Harness::from_arg_list(&args(&["bin"]));
+        let h = harness(&["bin"]);
         assert!(!sanitize::installed());
         assert!(!h.quick(), "paper scale unless --quick");
         h.finish().unwrap();
@@ -396,7 +393,7 @@ mod tests {
 
     #[test]
     fn harness_sanitize_installs_and_reports_clean() {
-        let h = Harness::from_arg_list(&args(&["bin", "--sanitize"]));
+        let h = harness(&["bin", "--sanitize"]);
         assert!(sanitize::installed());
         let m = Machine::new(MachineConfig::small()).unwrap();
         drop(m);
@@ -406,7 +403,7 @@ mod tests {
 
     #[test]
     fn harness_faults_seed_arms_machines_until_finish() {
-        let h = Harness::from_arg_list(&args(&["bin", "--faults", "42"]));
+        let h = harness(&["bin", "--faults", "42"]);
         let m = Machine::new(MachineConfig::small()).unwrap();
         assert_eq!(m.config().mem.faults.as_ref().map(|f| f.seed), Some(42));
         h.finish().unwrap();
@@ -415,18 +412,8 @@ mod tests {
     }
 
     #[test]
-    fn harness_legacy_maps_arms_machines_until_finish() {
-        let h = Harness::from_arg_list(&args(&["bin", "--legacy-maps"]));
-        let m = Machine::new(MachineConfig::small()).unwrap();
-        assert!(m.config().mem.legacy_maps, "flag must reach every machine built on this thread");
-        h.finish().unwrap();
-        let clean = Machine::new(MachineConfig::small()).unwrap();
-        assert!(!clean.config().mem.legacy_maps, "finish must clear the ambient request");
-    }
-
-    #[test]
     fn harness_backend_arms_machines_until_finish() {
-        let h = Harness::from_arg_list(&args(&["bin", "--backend", "numa"]));
+        let h = harness(&["bin", "--backend", "numa"]);
         assert_eq!(h.backend(), mem::Backend::Numa);
         let m = Machine::new(MachineConfig::small()).unwrap();
         assert_eq!(
@@ -439,7 +426,7 @@ mod tests {
         assert!(clean.config().mem.backend.is_none(), "finish must clear the ambient choice");
 
         // Without the flag: resolved default is pcm, nothing published.
-        let h = Harness::from_arg_list(&args(&["bin"]));
+        let h = harness(&["bin"]);
         assert_eq!(h.backend(), mem::Backend::Pcm);
         let m = Machine::new(MachineConfig::small()).unwrap();
         assert!(m.config().mem.backend.is_none(), "unset default must not publish ambient state");
@@ -485,12 +472,12 @@ mod tests {
 
     #[test]
     fn harness_timing_and_verify_replay_are_accessors() {
-        let h = Harness::from_arg_list(&args(&["bin", "--timing", "T.json", "--verify-replay"]));
+        let h = harness(&["bin", "--timing", "T.json", "--verify-replay"]);
         assert_eq!(h.timing_path(), Some("T.json"));
         assert!(h.verify_replay());
         h.finish().unwrap();
 
-        let h = Harness::from_arg_list(&args(&["bin"]));
+        let h = harness(&["bin"]);
         assert_eq!(h.timing_path(), None);
         assert!(!h.verify_replay());
         h.finish().unwrap();
@@ -498,7 +485,7 @@ mod tests {
 
     #[test]
     fn harness_patrol_interval_is_an_accessor() {
-        let h = Harness::from_arg_list(&args(&["bin", "--patrol", "250"]));
+        let h = harness(&["bin", "--patrol", "250"]);
         assert_eq!(h.patrol_interval(), Some(Cycles::from_micros(250)));
         // Accessor only: no ambient state, machines stay patrol-free
         // unless the binary arms them.
@@ -506,14 +493,14 @@ mod tests {
         assert!(m.patrol.is_none());
         h.finish().unwrap();
 
-        let h = Harness::from_arg_list(&args(&["bin"]));
+        let h = harness(&["bin"]);
         assert_eq!(h.patrol_interval(), None);
         h.finish().unwrap();
     }
 
     #[test]
     fn harness_stuck_folds_into_the_fault_model() {
-        let h = Harness::from_arg_list(&args(&["bin", "--faults", "9", "--stuck", "512"]));
+        let h = harness(&["bin", "--faults", "9", "--stuck", "512"]);
         assert_eq!(h.stuck(), Some(512));
         let m = Machine::new(MachineConfig::small()).unwrap();
         let f = m.config().mem.faults.clone().unwrap();
@@ -522,7 +509,7 @@ mod tests {
         h.finish().unwrap();
 
         // Standalone --stuck is an accessor only: no ambient model armed.
-        let h = Harness::from_arg_list(&args(&["bin", "--stuck", "16", "--plot", "p.svg"]));
+        let h = harness(&["bin", "--stuck", "16", "--plot", "p.svg"]);
         assert_eq!(h.stuck(), Some(16));
         assert_eq!(h.plot_path(), Some("p.svg"));
         let m = Machine::new(MachineConfig::small()).unwrap();
@@ -532,7 +519,7 @@ mod tests {
 
     #[test]
     fn harness_publishes_and_resets_jobs() {
-        let h = Harness::from_arg_list(&args(&["bin", "--jobs", "3"]));
+        let h = harness(&["bin", "--jobs", "3"]);
         assert_eq!(h.jobs(), 3);
         assert_eq!(parallel::thread_jobs(), 3, "drivers must see the published count");
         h.finish().unwrap();
@@ -545,7 +532,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("rows.json");
         let csv_path = dir.join("rows.csv");
-        let h = Harness::from_arg_list(&args(&[
+        let h = harness(&[
             "bin",
             "--quick",
             "--jobs",
@@ -554,22 +541,42 @@ mod tests {
             csv_path.to_str().unwrap(),
             "--json",
             path.to_str().unwrap(),
-        ]));
+        ]);
         assert!(h.quick());
         let rows =
             vec![experiments::Fig4aRow { size_mb: 64, rebuild_ms: 54.2, persistent_ms: 29.2 }];
-        h.maybe_csv(&rows);
+        h.maybe_csv(&rows).unwrap();
         assert_eq!(std::fs::read_to_string(&csv_path).unwrap(), experiments::to_csv(&rows));
-        h.maybe_json(&rows);
+        h.maybe_json(json::rows(&rows)).unwrap();
         let data = std::fs::read_to_string(&path).unwrap();
-        assert!(data.starts_with("{\n\"jobs\": 2,\n\"elapsed_ms\": "), "{data}");
-        assert!(data.contains("\"backend\": \"pcm\""), "envelope must echo the backend: {data}");
-        assert!(data.contains("\"rows\": ["), "{data}");
-        assert!(data.contains("\"size_mib\": 64"), "{data}");
-        assert!(data.trim_end().ends_with('}'), "{data}");
+        // Mask the one wall-clock field; everything else is exact.
+        let masked: Vec<&str> = data
+            .split('\n')
+            .map(|l| match l.strip_prefix("  \"elapsed_ms\": ") {
+                Some(v) if v.trim_end_matches(',').parse::<u128>().is_ok() => "  <elapsed>,",
+                _ => l,
+            })
+            .collect();
+        assert_eq!(
+            masked.join("\n"),
+            "{\n  \"jobs\": 2,\n  <elapsed>,\n  \"backend\": \"pcm\",\n  \"rows\": [\n    \
+             {\"size_mib\": 64, \"rebuild_ms\": 54.200, \"persistent_ms\": 29.200, \
+             \"overhead\": 1.856}\n  ]\n}\n"
+        );
         h.finish().unwrap();
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&csv_path).ok();
+    }
+
+    #[test]
+    fn failed_artifact_write_is_an_error() {
+        let dir = std::env::temp_dir().join("kindle-bench-missing-dir-test");
+        std::fs::remove_dir_all(&dir).ok();
+        let path = dir.join("x.json");
+        let h = harness(&["bin", "--json", path.to_str().unwrap()]);
+        assert!(h.maybe_json(json::arr(Vec::new())).is_err(), "a missing directory must fail");
+        assert!(!path.exists());
+        h.finish().unwrap();
     }
 
     #[test]

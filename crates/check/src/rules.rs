@@ -64,7 +64,7 @@ const THREAD_LOCAL_HOMES: &[&str] =
     &["crates/sim/src/ambient.rs", "crates/core/src/parallel.rs", "crates/types/src/sanitize.rs"];
 
 /// The `crates/mem` files allowed to keep ordered maps (KD012): the
-/// legacy store implementations preserved as the `--legacy-maps`
+/// legacy store implementations preserved as the `MemConfig::legacy_maps`
 /// equivalence baseline. Everything else in the memory controller is
 /// hot-path and must use the direct-indexed flat tables — a `BTreeMap`
 /// reintroduced there is a performance regression the type system cannot

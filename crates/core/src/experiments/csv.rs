@@ -23,43 +23,6 @@ pub fn to_csv<R: CsvRow>(rows: &[R]) -> String {
     out
 }
 
-/// Renders rows as a JSON array of objects, reusing the CSV field names
-/// as keys. Hand-rolled (no serde in the offline image): a value that
-/// parses as a finite number is emitted bare, everything else as an
-/// escaped string. Field values must not contain commas — true for every
-/// row type here, whose only strings are benchmark identifiers.
-pub fn to_json<R: CsvRow>(rows: &[R]) -> String {
-    let keys: Vec<&str> = R::csv_header().split(',').collect();
-    let mut out = String::from("[");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n  {");
-        let line = r.csv_row();
-        for (j, (key, value)) in keys.iter().zip(line.split(',')).enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push('"');
-            out.push_str(key);
-            out.push_str("\": ");
-            out.push_str(&json_value(value));
-        }
-        out.push('}');
-    }
-    out.push_str("\n]\n");
-    out
-}
-
-fn json_value(v: &str) -> String {
-    if v.parse::<f64>().is_ok_and(f64::is_finite) {
-        v.to_string()
-    } else {
-        format!("\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\""))
-    }
-}
-
 impl CsvRow for Fig4aRow {
     fn csv_header() -> &'static str {
         "size_mib,rebuild_ms,persistent_ms,overhead"
@@ -193,33 +156,5 @@ mod tests {
     fn empty_rows_render_header_only() {
         let csv = to_csv::<Table3Row>(&[]);
         assert_eq!(csv.trim(), Table3Row::csv_header());
-    }
-
-    #[test]
-    fn json_mirrors_csv_fields() {
-        let rows = vec![Fig4aRow { size_mb: 64, rebuild_ms: 54.2, persistent_ms: 29.2 }];
-        let json = to_json(&rows);
-        assert!(json.starts_with('['), "{json}");
-        assert!(json.contains("\"size_mib\": 64"), "{json}");
-        assert!(json.contains("\"rebuild_ms\": 54.200"), "{json}");
-        assert!(json.trim_end().ends_with(']'), "{json}");
-    }
-
-    #[test]
-    fn json_quotes_non_numeric_fields() {
-        let rows = vec![ConsolidationRow {
-            benchmark: "Ycsb_mem".into(),
-            consolidation_ms: 12,
-            normalized: 1.25,
-            pages_consolidated: 7,
-        }];
-        let json = to_json(&rows);
-        assert!(json.contains("\"benchmark\": \"Ycsb_mem\""), "{json}");
-        assert!(json.contains("\"normalized\": 1.2500"), "{json}");
-    }
-
-    #[test]
-    fn json_empty_rows_render_empty_array() {
-        assert_eq!(to_json::<Table3Row>(&[]).trim(), "[\n]");
     }
 }

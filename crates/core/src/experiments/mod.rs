@@ -21,7 +21,7 @@ mod persistence;
 mod ssp_study;
 
 pub use backends::{run_backend_grid, BackendGridParams};
-pub use csv::{to_csv, to_json, CsvRow};
+pub use csv::{to_csv, CsvRow};
 pub use hscc_study::{run_fig6, Fig6Params, Fig6Row};
 pub use persistence::{
     run_fig4a, run_fig4b, run_table3, run_table4, Fig4aParams, Fig4aRow, Fig4bParams, Fig4bRow,

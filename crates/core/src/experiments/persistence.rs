@@ -463,9 +463,9 @@ mod tests {
 
     #[test]
     fn fig4a_rows_are_layout_invariant() {
-        // Flat vs legacy controller stores (the bench harness's
-        // --legacy-maps) must produce byte-identical rows: the store
-        // layout is a host-side data structure, never a simulated one.
+        // Flat vs legacy controller stores (`MemConfig::legacy_maps`)
+        // must produce byte-identical rows: the store layout is a
+        // host-side data structure, never a simulated one.
         let flat = run_fig4a(&Fig4aParams::quick()).unwrap();
         Ambient { legacy_maps: true, ..Ambient::default() }.publish();
         let legacy = run_fig4a(&Fig4aParams::quick());

@@ -1,8 +1,8 @@
 //! Backend invariance of the crash sweeps.
 //!
 //! The far-tier backend travels in `kindle_sim::Ambient` with the
-//! media-fault model and the legacy-maps request: published by the bench
-//! harness (`--backend`), captured into machine snapshots, and
+//! media-fault model and the legacy store-layout request: published by
+//! the bench harness (`--backend`), captured into machine snapshots, and
 //! republished on every sweep worker. Two properties must hold:
 //!
 //! 1. `--backend pcm` is byte-identical to not passing the flag — the

@@ -3,8 +3,9 @@
 //! The memory controller's hot-path state (the page store, the NVM
 //! checksum table and the two undo logs) lives in direct-indexed flat
 //! tables by default, with the original ordered-map implementations kept
-//! behind `MemConfig::legacy_maps` (the bench harness's `--legacy-maps`
-//! flag). The layouts must be indistinguishable to every observer: these
+//! behind `MemConfig::legacy_maps` (published here through
+//! `kindle_sim::Ambient`). The layouts must be indistinguishable to every
+//! observer: these
 //! tests run the crash-sweep families and the data-integrity grid under
 //! both layouts — serial and parallel — and require the *full* outcome
 //! (order-sensitive digest included) to match bit for bit.

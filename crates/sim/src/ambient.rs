@@ -1,7 +1,8 @@
-//! Ambient machine-construction knobs: CLI flags and sweep drivers
-//! (`--faults`, `--legacy-maps`, `--backend`) change machines whose
-//! construction sites they do not control by publishing one [`Ambient`]
-//! value on the host thread, which [`crate::Machine::new`] reads.
+//! Ambient machine-construction knobs: CLI flags (`--faults`,
+//! `--backend`), sweep drivers and equivalence tests (the legacy store
+//! layout) change machines whose construction sites they do not control
+//! by publishing one [`Ambient`] value on the host thread, which
+//! [`crate::Machine::new`] reads.
 //!
 //! Thread-locals do not cross host threads, so the value has exactly two
 //! carriers: `kindle_core::parallel::par_map` publishes the caller's value

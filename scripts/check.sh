@@ -14,6 +14,20 @@ cargo test --workspace -q
 echo "== tests (perfbench self-tests, pinned sweep digests) =="
 cargo test -q --offline --locked --manifest-path perfbench/Cargo.toml
 
+echo "== bench artifacts vs golden ranges (deterministic bench-smoke set) =="
+# hotpath is left to CI: its wall-clock ratio gate is too noisy for a
+# local gate.
+cargo build --release -q -p kindle-bench
+bin="${CARGO_TARGET_DIR:-target}/release"
+artifacts="$(mktemp -d)"
+trap 'rm -rf "$artifacts"' EXIT
+bench() { "$bin/$1" "${@:2}" >/dev/null; }
+bench fig4a --quick --sanitize --json "$artifacts/BENCH_fig4a.json"
+bench table1 --sanitize --json "$artifacts/BENCH_table1.json"
+bench backends --quick --json "$artifacts/BENCH_backends.json"
+bench data_integrity --json "$artifacts/BENCH_data_integrity.json"
+"$bin/bench_diff" bench-golden.txt "$artifacts"/BENCH_*.json
+
 echo "== allowlist justification guard =="
 # Policy: fix, don't allowlist. Every check-allowlist.txt entry must be
 # preceded by a `#` justification comment on the line directly above it.
