@@ -1,5 +1,6 @@
 //! Hot-path throughput: flat direct-indexed controller stores vs the
-//! legacy ordered maps.
+//! legacy ordered maps, and page-granular demand-fault zeroing vs the
+//! line-by-line oracle.
 //!
 //! Drives the identical workload through `Machine::access` on two
 //! machines that differ only in `MemConfig::legacy_maps`: the flat side
@@ -15,25 +16,35 @@
 //!   stores hit the undo table and (with the media-fault model armed)
 //!   the checksum table on every line.
 //!
-//! Timing methodology: both sides run the identical access stream, split
-//! into chunks that are timed *alternately* (legacy, flat, legacy, flat,
-//! …) after an untimed warm-up chunk, so frequency scaling and cache
-//! warm-up bias neither side.
+//! A third comparison times `zero_page` alone on NVM frames, at the
+//! `Hw` level: `Hw`'s page-granular override against `LineByLine`, the
+//! same hardware running the `PhysMem` trait's line-by-line default.
+//!
+//! Timing methodology: both sides of each comparison run the identical
+//! stream, split into chunks that are timed *alternately* (legacy, flat,
+//! legacy, flat, …) after an untimed warm-up chunk, so frequency scaling
+//! and cache warm-up bias neither side.
 //!
 //! Reported rows:
 //!
-//! * `mlines_per_sec` — flat-side throughput in million simulated line
-//!   accesses per host second;
-//! * `hotpath_speedup` — legacy wall time / flat wall time (golden-gated
-//!   at >= 1.3x by `bench_diff`);
-//! * `lines_accessed` — per-side timed line count (workload-shape pin).
+//! * `access_ns` — flat-side host ns per translation-phase access;
+//! * `fault_ns` — flat-side host ns per faulted page of the churn phase
+//!   (its mmap and munmap included);
+//! * `hotpath_speedup` — legacy wall time / flat wall time over both
+//!   phases (golden-gated at >= 1.3x by `bench_diff`);
+//! * `fault_speedup` — line-by-line `zero_page` wall time / page-granular
+//!   wall time (golden-gated at >= 1.2x);
+//! * `lines_accessed` — per-side timed access plus faulted-page count
+//!   (workload-shape pin).
 //!
-//! Both sides must be *observation-equivalent*: the binary asserts their
-//! `SimReport`s and final clocks are byte-identical before printing any
-//! number, so the speedup can never come from simulating less.
+//! Every pair must be *observation-equivalent*: the binary asserts the
+//! machines' `SimReport`s and clocks, and the `zero_page` sides' clocks,
+//! cache and controller stats, are byte-identical before printing any
+//! number, so a speedup can never come from simulating less.
 
 use kindle_bench::*;
 use kindle_core::prelude::PtMode;
+use kindle_core::types::{PhysMem, PAGE_SIZE};
 
 /// Deterministic splitmix64 step: the workload's address/kind stream.
 fn mix(state: &mut u64) -> u64 {
@@ -52,8 +63,10 @@ struct Side {
     va: VirtAddr,
     pages: u64,
     rng: u64,
-    lines: u64,
-    secs: f64,
+    accesses: u64,
+    access_secs: f64,
+    faults: u64,
+    fault_secs: f64,
 }
 
 impl Side {
@@ -82,11 +95,21 @@ impl Side {
         for p in 0..pages {
             m.access(pid, va + p * 4096, AccessKind::Write)?;
         }
-        Ok(Side { m, pid, va, pages, rng: 0x0dd0_11ce_5eed, lines: 0, secs: 0.0 })
+        Ok(Side {
+            m,
+            pid,
+            va,
+            pages,
+            rng: 0x0dd0_11ce_5eed,
+            accesses: 0,
+            access_secs: 0.0,
+            faults: 0,
+            fault_secs: 0.0,
+        })
     }
 
     /// Runs `n` accesses of the deterministic stream; `timed` adds the
-    /// wall time and line count to the side's totals.
+    /// wall time and access count to the side's totals.
     fn chunk(&mut self, n: u64, timed: bool) -> Result<()> {
         let started = std::time::Instant::now();
         for _ in 0..n {
@@ -97,15 +120,15 @@ impl Side {
             self.m.access(self.pid, self.va + page * 4096 + line * 64, kind)?;
         }
         if timed {
-            self.secs += started.elapsed().as_secs_f64();
-            self.lines += n;
+            self.access_secs += started.elapsed().as_secs_f64();
+            self.accesses += n;
         }
         Ok(())
     }
 
     /// One mmap/fault-in/munmap churn round over a scratch region: every
-    /// faulted frame is zero-filled line by line through the controller's
-    /// byte store, so this is the store-side (undo + checksum) hot path.
+    /// faulted frame is zero-filled through the controller's line store,
+    /// so this is the store-side (undo + checksum) hot path.
     fn churn(&mut self, scratch_pages: u64, timed: bool) -> Result<()> {
         let started = std::time::Instant::now();
         let va = self.m.mmap(self.pid, scratch_pages * 4096, Prot::RW, MapFlags::NVM)?;
@@ -114,11 +137,58 @@ impl Side {
         }
         self.m.munmap(self.pid, va, scratch_pages * 4096)?;
         if timed {
-            self.secs += started.elapsed().as_secs_f64();
-            self.lines += scratch_pages;
+            self.fault_secs += started.elapsed().as_secs_f64();
+            self.faults += scratch_pages;
         }
         Ok(())
     }
+
+    fn secs(&self) -> f64 {
+        self.access_secs + self.fault_secs
+    }
+
+    fn lines(&self) -> u64 {
+        self.accesses + self.faults
+    }
+}
+
+/// Times `zero_page` on NVM frames through `Hw`'s page-granular
+/// override and through the [`sim::LineByLine`] oracle, alternating
+/// timed chunks of `chunk` pages. The frames cycle through a region
+/// eight times the LLC, so zeroing runs against a cache full of earlier
+/// zeroing's dirty lines, as demand faults do. Returns oracle seconds
+/// over override seconds, after asserting both sides simulated the same.
+fn fault_speedup(chunk: u64, chunks: u64) -> f64 {
+    let cfg = MachineConfig::small();
+    let frames = (8 * cfg.caches.llc.size_bytes / PAGE_SIZE) as u64;
+    let base = cfg.mem.layout.range(MemKind::Nvm).base;
+    let mut fast = sim::Hw::new(&cfg);
+    let mut oracle = sim::LineByLine(sim::Hw::new(&cfg));
+    let (mut fast_secs, mut oracle_secs) = (0.0, 0.0);
+    let zero = |mem: &mut dyn PhysMem, round: u64| {
+        let started = std::time::Instant::now();
+        for p in round * chunk..(round + 1) * chunk {
+            mem.zero_page(base + (p % frames) * PAGE_SIZE as u64);
+        }
+        started.elapsed().as_secs_f64()
+    };
+    zero(&mut fast, 0);
+    zero(&mut oracle, 0);
+    for round in 1..=chunks {
+        oracle_secs += zero(&mut oracle, round);
+        fast_secs += zero(&mut fast, round);
+    }
+    let state = |hw: &sim::Hw| {
+        format!(
+            "{:?} {:?} {:?} {}",
+            hw.now(),
+            hw.caches.stats(),
+            hw.mc.stats(),
+            hw.mc.volatile_nvm_lines()
+        )
+    };
+    assert_eq!(state(&fast), state(&oracle.0), "page-granular and line-by-line zeroing diverged");
+    oracle_secs / fast_secs
 }
 
 fn main() -> Result<()> {
@@ -145,26 +215,31 @@ fn main() -> Result<()> {
     assert_eq!(flat.m.now(), legacy.m.now(), "flat and legacy clocks diverged");
     let (fr, lr) = (format!("{:?}", flat.m.report()), format!("{:?}", legacy.m.report()));
     assert_eq!(fr, lr, "flat and legacy reports diverged");
-    assert_eq!(flat.lines, legacy.lines);
+    assert_eq!(flat.lines(), legacy.lines());
+    let fault_speedup = fault_speedup(chunk / 4, chunks);
 
-    let mlines_per_sec = flat.lines as f64 / flat.secs / 1e6;
-    let hotpath_speedup = legacy.secs / flat.secs;
+    let access_ns = flat.access_secs / flat.accesses as f64 * 1e9;
+    let fault_ns = flat.fault_secs / flat.faults as f64 * 1e9;
+    let hotpath_speedup = legacy.secs() / flat.secs();
 
-    println!("HOTPATH: steady-state controller-store throughput");
+    println!("HOTPATH: steady-state controller-store and fault-zeroing host time");
     rule(56);
-    println!("{:<28} {:>12}", "Metric", "Value");
+    println!("{:<36} {:>12}", "Metric", "Value");
     rule(56);
-    println!("{:<28} {:>12}", "pages", pages);
-    println!("{:<28} {:>12}", "lines accessed", flat.lines);
-    println!("{:<28} {:>12.2}", "flat Mlines/s", mlines_per_sec);
-    println!("{:<28} {:>12.2}", "legacy Mlines/s", legacy.lines as f64 / legacy.secs / 1e6);
-    println!("{:<28} {:>12.2}", "speedup (legacy/flat)", hotpath_speedup);
+    println!("{:<36} {:>12}", "pages", pages);
+    println!("{:<36} {:>12}", "lines accessed", flat.lines());
+    println!("{:<36} {:>12.0}", "flat ns/access", access_ns);
+    println!("{:<36} {:>12.0}", "flat ns/faulted page", fault_ns);
+    println!("{:<36} {:>12.2}", "speedup (legacy/flat)", hotpath_speedup);
+    println!("{:<36} {:>12.2}", "zero_page speedup (line/page)", fault_speedup);
     println!("reports: byte-identical");
 
     harness.maybe_json(json::obj([
-        ("mlines_per_sec", format!("{mlines_per_sec:.3}")),
+        ("access_ns", format!("{access_ns:.0}")),
+        ("fault_ns", format!("{fault_ns:.0}")),
         ("hotpath_speedup", format!("{hotpath_speedup:.3}")),
-        ("lines_accessed", flat.lines.to_string()),
+        ("fault_speedup", format!("{fault_speedup:.3}")),
+        ("lines_accessed", flat.lines().to_string()),
     ]))?;
     harness.finish()
 }

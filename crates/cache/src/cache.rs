@@ -61,12 +61,35 @@ impl CacheStats {
     }
 }
 
+/// Way flag bits, packed below the tag in [`Way::meta`].
+const VALID: u64 = 1;
+const DIRTY: u64 = 2;
+
+/// One way: `meta` is the tag shifted left by two with the valid and
+/// dirty bits below it, so a way is 16 bytes and a tag match is one
+/// masked compare against the key `Cache::index` builds.
 #[derive(Clone, Copy, Debug, Default)]
 struct Way {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
+    meta: u64,
     stamp: u64,
+}
+
+impl Way {
+    #[inline]
+    fn valid(&self) -> bool {
+        self.meta & VALID != 0
+    }
+
+    #[inline]
+    fn dirty(&self) -> bool {
+        self.meta & DIRTY != 0
+    }
+
+    /// True if the way is valid and holds the line whose key is `key`.
+    #[inline]
+    fn holds(&self, key: u64) -> bool {
+        self.meta & !DIRTY == key
+    }
 }
 
 /// One cache level. Addresses are tracked at line granularity only (tags, no
@@ -82,6 +105,9 @@ pub struct Cache {
     ways: Vec<Way>,
     assoc: usize,
     set_mask: u64,
+    /// `set_mask.count_ones()`, cached: every index splits a line number
+    /// into set and tag with it.
+    set_bits: u32,
     tick: u64,
     /// Running count of valid ways, maintained on every fill/evict so
     /// [`occupancy`](Self::occupancy) is O(1) instead of a full-array
@@ -98,6 +124,7 @@ impl Cache {
             ways: vec![Way::default(); sets * cfg.assoc],
             assoc: cfg.assoc,
             set_mask: sets as u64 - 1,
+            set_bits: sets.trailing_zeros(),
             cfg,
             tick: 0,
             occupied: 0,
@@ -115,10 +142,25 @@ impl Cache {
         &self.stats
     }
 
+    /// The set of `pa` and the key a valid way holding it carries: its
+    /// tag with the valid bit set (the dirty bit is masked off on compare).
     #[inline]
     fn index(&self, pa: PhysAddr) -> (usize, u64) {
         let line = pa.as_u64() >> CACHE_LINE_SHIFT;
-        ((line & self.set_mask) as usize, line >> self.set_mask.count_ones())
+        ((line & self.set_mask) as usize, ((line >> self.set_bits) << 2) | VALID)
+    }
+
+    /// The way holding the line with `key` in `set`, if any.
+    #[inline]
+    fn find_mut(&mut self, set: usize, key: u64) -> Option<&mut Way> {
+        let base = set * self.assoc;
+        self.ways[base..base + self.assoc].iter_mut().find(|w| w.holds(key))
+    }
+
+    /// Base address of the line a valid way in `set` holds.
+    #[inline]
+    fn line_of(&self, set: usize, way: &Way) -> PhysAddr {
+        PhysAddr::new((((way.meta >> 2) << self.set_bits) | set as u64) << CACHE_LINE_SHIFT)
     }
 
     /// Looks up `pa`; on hit updates LRU (and dirtiness for writes) and
@@ -126,96 +168,153 @@ impl Cache {
     pub fn lookup(&mut self, pa: PhysAddr, kind: AccessKind) -> bool {
         self.tick += 1;
         let tick = self.tick;
-        let (set, tag) = self.index(pa);
-        let base = set * self.assoc;
-        for way in &mut self.ways[base..base + self.assoc] {
-            if way.valid && way.tag == tag {
-                way.stamp = tick;
-                if kind.is_write() {
-                    way.dirty = true;
-                }
-                self.stats.hits += 1;
-                return true;
+        let (set, key) = self.index(pa);
+        if let Some(way) = self.find_mut(set, key) {
+            way.stamp = tick;
+            if kind.is_write() {
+                way.meta |= DIRTY;
             }
+            self.stats.hits += 1;
+            return true;
         }
         self.stats.misses += 1;
         false
     }
 
+    /// A dirty line arriving from the level above: if the line is present
+    /// it becomes dirty and most recently used, counting one hit, and this
+    /// returns `true`. A miss changes nothing (not even the miss count);
+    /// the caller then [`insert`](Self::insert)s the line dirty. One scan
+    /// does what `probe` followed by a write `lookup` would.
+    pub fn write_hit(&mut self, pa: PhysAddr) -> bool {
+        let (set, key) = self.index(pa);
+        let tick = self.tick + 1;
+        let Some(way) = self.find_mut(set, key) else {
+            return false;
+        };
+        way.stamp = tick;
+        way.meta |= DIRTY;
+        self.tick = tick;
+        self.stats.hits += 1;
+        true
+    }
+
     /// Inserts the line containing `pa` (after a miss), evicting the LRU way
     /// if the set is full. `dirty` marks the inserted line as modified.
     pub fn insert(&mut self, pa: PhysAddr, dirty: bool) -> Option<Eviction> {
+        let (set, key) = self.index(pa);
+        let victim = self.victim(set);
+        self.fill(set, victim, key | if dirty { DIRTY } else { 0 })
+    }
+
+    /// [`lookup`](Self::lookup) and, on a miss, a clean
+    /// [`insert`](Self::insert), in one scan of the set: the stats, LRU
+    /// stamps and victim are exactly those of the two calls. `Ok(())` is
+    /// a hit; `Err` carries the miss's eviction, if any.
+    pub fn lookup_or_insert(
+        &mut self,
+        pa: PhysAddr,
+        kind: AccessKind,
+    ) -> Result<(), Option<Eviction>> {
         self.tick += 1;
-        let tick = self.tick;
-        let (set, tag) = self.index(pa);
-        let set_bits = self.set_mask.count_ones();
+        let (set, key) = self.index(pa);
         let base = set * self.assoc;
-        let ways = &mut self.ways[base..base + self.assoc];
-        // Reuse an invalid way if present.
-        if let Some(way) = ways.iter_mut().find(|w| !w.valid) {
-            *way = Way { tag, valid: true, dirty, stamp: tick };
+        let (mut invalid, mut lru, mut oldest) = (None, base, u64::MAX);
+        for i in base..base + self.assoc {
+            let way = &mut self.ways[i];
+            if way.holds(key) {
+                way.stamp = self.tick;
+                if kind.is_write() {
+                    way.meta |= DIRTY;
+                }
+                self.stats.hits += 1;
+                return Ok(());
+            }
+            if !way.valid() {
+                invalid = invalid.or(Some(i));
+            } else if way.stamp < oldest {
+                oldest = way.stamp;
+                lru = i;
+            }
+        }
+        self.stats.misses += 1;
+        Err(self.fill(set, invalid.unwrap_or(lru), key))
+    }
+
+    /// The way an insert into `set` takes: the first invalid way, else the
+    /// least recently used (first of equals, as `min_by_key` picks).
+    fn victim(&self, set: usize) -> usize {
+        let base = set * self.assoc;
+        let mut victim = base;
+        let mut oldest = u64::MAX;
+        for i in base..base + self.assoc {
+            let way = &self.ways[i];
+            if !way.valid() {
+                return i;
+            }
+            if way.stamp < oldest {
+                oldest = way.stamp;
+                victim = i;
+            }
+        }
+        victim
+    }
+
+    /// Installs `meta` at way index `victim` of `set` as the most recently
+    /// used line, returning what it displaced.
+    fn fill(&mut self, set: usize, victim: usize, meta: u64) -> Option<Eviction> {
+        self.tick += 1;
+        let old = std::mem::replace(&mut self.ways[victim], Way { meta, stamp: self.tick });
+        if !old.valid() {
             self.occupied += 1;
             return None;
         }
-        let victim = ways.iter_mut().min_by_key(|w| w.stamp).expect("associativity >= 1");
-        let evicted_line = ((victim.tag << set_bits) | set as u64) << CACHE_LINE_SHIFT;
-        let ev = Eviction { line: PhysAddr::new(evicted_line), dirty: victim.dirty };
+        let ev = Eviction { line: self.line_of(set, &old), dirty: old.dirty() };
         if ev.dirty {
             self.stats.dirty_evictions += 1;
         }
-        *victim = Way { tag, valid: true, dirty, stamp: tick };
         Some(ev)
     }
 
     /// True if the line is present (does not update LRU or stats).
     pub fn probe(&self, pa: PhysAddr) -> bool {
-        let (set, tag) = self.index(pa);
+        let (set, key) = self.index(pa);
         let base = set * self.assoc;
-        self.ways[base..base + self.assoc].iter().any(|w| w.valid && w.tag == tag)
+        self.ways[base..base + self.assoc].iter().any(|w| w.holds(key))
     }
 
     /// Clears the dirty bit of the line if present; returns whether it was
     /// dirty (i.e. a write-back is needed). The line stays valid (`clwb`).
     pub fn writeback_line(&mut self, pa: PhysAddr) -> bool {
-        let (set, tag) = self.index(pa);
-        let base = set * self.assoc;
-        for way in &mut self.ways[base..base + self.assoc] {
-            if way.valid && way.tag == tag {
-                let was = way.dirty;
-                way.dirty = false;
-                return was;
-            }
-        }
-        false
+        let (set, key) = self.index(pa);
+        self.find_mut(set, key).is_some_and(|way| {
+            let was = way.dirty();
+            way.meta &= !DIRTY;
+            was
+        })
     }
 
     /// Invalidates the line if present; returns whether it was dirty.
     pub fn invalidate_line(&mut self, pa: PhysAddr) -> bool {
-        let (set, tag) = self.index(pa);
-        let base = set * self.assoc;
-        for way in &mut self.ways[base..base + self.assoc] {
-            if way.valid && way.tag == tag {
-                way.valid = false;
-                self.occupied -= 1;
-                return way.dirty;
-            }
-        }
-        false
+        let (set, key) = self.index(pa);
+        let Some(way) = self.find_mut(set, key) else {
+            return false;
+        };
+        let was = way.dirty();
+        way.meta = 0;
+        self.occupied -= 1;
+        was
     }
 
     /// Clears all dirty bits, returning the base addresses of lines that
     /// were dirty (a full write-back flush).
     pub fn writeback_all(&mut self) -> Vec<PhysAddr> {
-        let set_bits = self.set_mask.count_ones();
-        let assoc = self.assoc;
         let mut out = Vec::new();
-        for (set, ways) in self.ways.chunks_mut(assoc).enumerate() {
-            for way in ways.iter_mut() {
-                if way.valid && way.dirty {
-                    way.dirty = false;
-                    let line = ((way.tag << set_bits) | set as u64) << CACHE_LINE_SHIFT;
-                    out.push(PhysAddr::new(line));
-                }
+        for i in 0..self.ways.len() {
+            let way = self.ways[i];
+            if way.valid() && way.dirty() {
+                self.ways[i].meta &= !DIRTY;
+                out.push(self.line_of(i / self.assoc, &way));
             }
         }
         out
@@ -225,8 +324,7 @@ impl Cache {
     /// the hazard NVM consistency mechanisms guard against.
     pub fn invalidate_all(&mut self) {
         for way in &mut self.ways {
-            way.valid = false;
-            way.dirty = false;
+            way.meta = 0;
         }
         self.occupied = 0;
     }
@@ -242,7 +340,7 @@ impl Cache {
     /// [`occupancy`](Self::occupancy) counter.
     #[doc(hidden)]
     pub fn recount_occupancy(&self) -> usize {
-        self.ways.iter().filter(|w| w.valid).count()
+        self.ways.iter().filter(|w| w.valid()).count()
     }
 }
 

@@ -39,7 +39,38 @@ pub struct AccessResult {
     pub llc_miss: bool,
     /// Dirty lines evicted all the way out of the LLC; each must be written
     /// back to memory (and committed in the durability image).
-    pub writebacks: Vec<PhysAddr>,
+    pub writebacks: Writebacks,
+}
+
+/// The dirty lines one access pushes out of the LLC, held inline so a
+/// miss allocates nothing. Three is the most one access can produce: a
+/// full miss's own LLC victim, then the L2 victim's spill and the L1
+/// victim's spill (through L2) each displacing one more dirty LLC line.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Writebacks {
+    len: u8,
+    lines: [PhysAddr; Writebacks::MAX],
+}
+
+impl Writebacks {
+    /// Capacity: the worst case of one access (see the type docs).
+    pub const MAX: usize = 3;
+
+    const EMPTY: Writebacks = Writebacks { len: 0, lines: [PhysAddr::new(0); Writebacks::MAX] };
+
+    fn push(&mut self, line: PhysAddr) {
+        debug_assert!((self.len as usize) < Self::MAX, "more than {} write-backs", Self::MAX);
+        self.lines[self.len as usize] = line;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for Writebacks {
+    type Target = [PhysAddr];
+
+    fn deref(&self) -> &[PhysAddr] {
+        &self.lines[..self.len as usize]
+    }
 }
 
 /// Per-level statistics snapshot.
@@ -80,7 +111,7 @@ impl Hierarchy {
     /// Performs one cache-line access.
     pub fn access(&mut self, pa: PhysAddr, kind: AccessKind) -> AccessResult {
         let mut latency = Cycles::new(self.l1.config().hit_cycles);
-        let mut writebacks = Vec::new();
+        let mut writebacks = Writebacks::EMPTY;
 
         if self.l1.lookup(pa, kind) {
             return AccessResult { latency, needs_fill: false, llc_miss: false, writebacks };
@@ -94,15 +125,16 @@ impl Hierarchy {
         }
 
         latency += Cycles::new(self.llc.config().hit_cycles);
-        if self.llc.lookup(pa, kind) {
+        let llc = self.llc.lookup_or_insert(pa, kind);
+        if llc.is_ok() {
             self.fill_l2(pa, &mut writebacks);
             self.fill_l1(pa, kind, &mut writebacks);
             self.count_wb(&writebacks);
             return AccessResult { latency, needs_fill: false, llc_miss: true, writebacks };
         }
 
-        // Full miss: fill every level from memory.
-        if let Some(ev) = self.llc.insert(pa, false) {
+        // Full miss: the line is now in the LLC; fill the levels above.
+        if let Err(Some(ev)) = llc {
             if ev.dirty {
                 // Purge stale copies above so dirtiness is not resurrected.
                 self.l1.invalidate_line(ev.line);
@@ -118,7 +150,7 @@ impl Hierarchy {
 
     /// Installs into L1; evicted dirty lines are pushed into L2 (which may in
     /// turn push into the LLC, which may write back to memory).
-    fn fill_l1(&mut self, pa: PhysAddr, kind: AccessKind, wb: &mut Vec<PhysAddr>) {
+    fn fill_l1(&mut self, pa: PhysAddr, kind: AccessKind, wb: &mut Writebacks) {
         if let Some(ev) = self.l1.insert(pa, kind.is_write()) {
             if ev.dirty {
                 self.spill_to_l2(ev.line, wb);
@@ -126,7 +158,7 @@ impl Hierarchy {
         }
     }
 
-    fn fill_l2(&mut self, pa: PhysAddr, wb: &mut Vec<PhysAddr>) {
+    fn fill_l2(&mut self, pa: PhysAddr, wb: &mut Writebacks) {
         if let Some(ev) = self.l2.insert(pa, false) {
             if ev.dirty {
                 self.spill_to_llc(ev.line, wb);
@@ -135,9 +167,8 @@ impl Hierarchy {
     }
 
     /// A dirty line leaving L1 lands in L2 (present or not).
-    fn spill_to_l2(&mut self, line: PhysAddr, wb: &mut Vec<PhysAddr>) {
-        if self.l2.probe(line) {
-            self.l2.lookup(line, AccessKind::Write);
+    fn spill_to_l2(&mut self, line: PhysAddr, wb: &mut Writebacks) {
+        if self.l2.write_hit(line) {
             return;
         }
         if let Some(ev) = self.l2.insert(line, true) {
@@ -147,9 +178,8 @@ impl Hierarchy {
         }
     }
 
-    fn spill_to_llc(&mut self, line: PhysAddr, wb: &mut Vec<PhysAddr>) {
-        if self.llc.probe(line) {
-            self.llc.lookup(line, AccessKind::Write);
+    fn spill_to_llc(&mut self, line: PhysAddr, wb: &mut Writebacks) {
+        if self.llc.write_hit(line) {
             return;
         }
         if let Some(ev) = self.llc.insert(line, true) {
@@ -294,6 +324,37 @@ mod tests {
         }
         let r = h.access(pa, AccessKind::Read);
         assert!(!r.llc_miss, "line should still hit in L2/LLC");
+    }
+
+    #[test]
+    fn one_access_can_write_back_three_lines() {
+        // Single-set levels: L1 one way, L2 two, LLC four. Every LLC line
+        // is dirty, L2 holds two dirty lines the LLC lacks and L1 one more.
+        let level = |name: &str, ways: usize| CacheConfig {
+            name: name.into(),
+            size_bytes: ways * 64,
+            assoc: ways,
+            hit_cycles: 1,
+        };
+        let mut h = Hierarchy::new(&HierarchyConfig {
+            l1: level("L1", 1),
+            l2: level("L2", 2),
+            llc: level("LLC", 4),
+        });
+        let line = |i: u64| PhysAddr::new(i * 64);
+        for a in 0..4 {
+            h.llc.insert(line(a), true);
+        }
+        h.l2.insert(line(10), true);
+        h.l2.insert(line(11), true);
+        h.l1.insert(line(20), true);
+        // The miss evicts LLC line 0; L2's victim (10) spills into the
+        // LLC, evicting 1; L1's victim (20) spills into L2, whose victim
+        // (11) spills into the LLC, evicting 2.
+        let r = h.access(line(30), AccessKind::Read);
+        assert!(r.needs_fill);
+        assert_eq!(&*r.writebacks, &[line(0), line(1), line(2)]);
+        assert_eq!(h.stats().memory_writebacks, 3);
     }
 
     #[test]

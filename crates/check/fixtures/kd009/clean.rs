@@ -41,3 +41,10 @@ impl Patrol {
         self.record_line_checksum(mem, line);
     }
 }
+
+impl Controller {
+    pub fn zero_line(&mut self, line: PhysAddr) {
+        self.emit(Event::NvmWrite { line, cycle: 0 });
+        self.store_line(line, &[0; 64], true);
+    }
+}

@@ -36,3 +36,9 @@ impl Patrol {
         self.page_mut(line)[0] = 0xff;
     }
 }
+
+impl Controller {
+    pub fn zero_line(&mut self, line: PhysAddr) {
+        self.store_line(line, &[0; 64], true);
+    }
+}

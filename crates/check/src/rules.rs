@@ -109,6 +109,7 @@ const NVM_PRIMITIVES: &[(&str, &[&str])] = &[
     ("flip_valid_copy", &["CheckpointPublish"]),
     ("page_mut", &["NvmWrite", "ScrubCorrect", "ScrubDetect", "PatrolCorrect"]),
     ("record_line_checksum", &["NvmWrite", "PatrolCorrect"]),
+    ("store_line", &["NvmWrite"]),
 ];
 
 /// Checkpoint-bracket markers recognized by KD009: primitives between a

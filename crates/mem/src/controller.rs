@@ -31,6 +31,20 @@ use crate::nvm::{CorrectionOutcome, MediaFaults, NvmDevice, WriteOutcome};
 use crate::stats::MemStats;
 use crate::store::{FrameSet, PageBox, PageStore, SumStore, UndoStore};
 
+/// Reference checksum of a line's bytes: its 8 little-endian words
+/// folded with [`checksum64`].
+fn line_sum(bytes: &[u8; 64]) -> u64 {
+    let mut words = [0u64; 8];
+    for (i, w) in words.iter_mut().enumerate() {
+        *w = u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().expect("8-byte chunk"));
+    }
+    checksum64(&words)
+}
+
+/// [`line_sum`] of an all-zero line, the sum every zeroing store records
+/// under the media-fault model.
+const ZERO_LINE_SUM: u64 = checksum64(&[0; 8]);
+
 /// Shared power-cut flag connecting a fault-injection trigger to an armed
 /// controller. Once [`cut`](PowerSwitch::cut) is called, the controller
 /// stops making anything durable: the simulation may keep executing (the
@@ -380,8 +394,9 @@ impl MemoryController {
     /// scheduler keeps up to date — that attribution is what the race
     /// detector keys on.
     pub fn store_bytes(&mut self, pa: PhysAddr, data: &[u8]) {
+        let nvm = self.layout.kind_of(pa) == Ok(MemKind::Nvm);
         // Snapshot undo state for NVM lines before mutating.
-        if self.layout.kind_of(pa) == Ok(MemKind::Nvm) {
+        if nvm {
             let first = pa.line_base().as_u64();
             let last = (pa.as_u64() + data.len().max(1) as u64 - 1) & !63;
             let mut line = first;
@@ -401,11 +416,16 @@ impl MemoryController {
             let pfn = addr >> PAGE_SHIFT;
             let off = (addr & (PAGE_SIZE as u64 - 1)) as usize;
             let chunk = (PAGE_SIZE - off).min(data.len() - done);
-            self.page_mut(pfn)[off..off + chunk].copy_from_slice(&data[done..done + chunk]);
+            let bytes = &data[done..done + chunk];
+            // Zeros into a never-materialised page change nothing a load
+            // can see, so the page stays absent.
+            if bytes.iter().any(|&b| b != 0) || self.page_ref(pfn).is_some() {
+                self.page_mut(pfn)[off..off + chunk].copy_from_slice(bytes);
+            }
             done += chunk;
             addr += chunk as u64;
         }
-        if self.media.is_some() && self.layout.kind_of(pa) == Ok(MemKind::Nvm) {
+        if self.media.is_some() && nvm {
             // Checksum the intended bytes first: stuck cells then force
             // their values into the image, so a line whose store was
             // corrupted past the ECP budget mismatches its recorded sum —
@@ -421,6 +441,49 @@ impl MemoryController {
         }
     }
 
+    /// Stores one whole line-aligned line: the page-granular primitive
+    /// behind `Hw`'s `zero_page` and `copy_page`, which decide `nvm` (the
+    /// line's memory kind) once per page. Its state changes and events are
+    /// exactly those of `store_bytes(line, data)` — `NvmWrite`, the
+    /// first-dirty undo snapshot, the store, then under the media-fault
+    /// model the reference checksum and the stuck-cell pass — but the
+    /// snapshot is read straight from the page, an all-zero line's sum is
+    /// the precomputed `ZERO_LINE_SUM`, and zeros stored into a
+    /// never-materialised page leave it absent.
+    pub fn store_line(&mut self, line: PhysAddr, data: &[u8; 64], nvm: bool) {
+        debug_assert_eq!(line, line.line_base(), "store_line needs a line-aligned address");
+        debug_assert_eq!(nvm, self.layout.kind_of(line) == Ok(MemKind::Nvm));
+        let la = line.as_u64();
+        let pfn = la >> PAGE_SHIFT;
+        let off = (la & (PAGE_SIZE as u64 - 1)) as usize;
+        if nvm {
+            sanitize::emit(|| Event::NvmWrite { line: la, cycle: 0 });
+        }
+        let present = match self.page_ref(pfn) {
+            Some(page) => {
+                if nvm && !self.nvm_undo.contains(la) {
+                    let snap = page[off..off + 64].try_into().expect("64-byte line");
+                    self.nvm_undo.insert_absent(la, snap);
+                }
+                true
+            }
+            None => {
+                if nvm {
+                    self.nvm_undo.insert_absent(la, [0; 64]);
+                }
+                false
+            }
+        };
+        let zero = *data == [0; 64];
+        if present || !zero {
+            self.page_mut(pfn)[off..off + 64].copy_from_slice(data);
+        }
+        if nvm && self.media.is_some() {
+            self.nvm_sums.insert(la, if zero { ZERO_LINE_SUM } else { line_sum(data) });
+            self.stuck_write_to_line(la);
+        }
+    }
+
     /// Records the line's current stored content as its reference checksum
     /// — the named integrity primitive [`patrol_frame`](Self::patrol_frame)
     /// verifies against.
@@ -429,15 +492,11 @@ impl MemoryController {
         self.nvm_sums.insert(line, sum);
     }
 
-    /// Checksum of the line's current stored bytes (8 words, FNV-1a fold).
+    /// Checksum of the line's current stored bytes.
     fn line_checksum(&self, line: u64) -> u64 {
         let mut buf = [0u8; 64];
         self.load_bytes(PhysAddr::new(line), &mut buf);
-        let mut words = [0u64; 8];
-        for (i, w) in words.iter_mut().enumerate() {
-            *w = u64::from_le_bytes(buf[i * 8..i * 8 + 8].try_into().expect("8-byte chunk"));
-        }
-        checksum64(&words)
+        line_sum(&buf)
     }
 
     /// Applies the stuck-cell model to every line of a store: when ECP
@@ -580,11 +639,7 @@ impl MemoryController {
                     candidate[byte] &= !m;
                 }
             }
-            let mut words = [0u64; 8];
-            for (i, w) in words.iter_mut().enumerate() {
-                *w = u64::from_le_bytes(candidate[i * 8..i * 8 + 8].try_into().expect("8 bytes"));
-            }
-            if checksum64(&words) != want {
+            if line_sum(&candidate) != want {
                 continue 'assign;
             }
             let pfn = line >> PAGE_SHIFT;
@@ -853,6 +908,22 @@ mod tests {
         let mut buf = [0xffu8; 32];
         m.load_bytes(dram_pa, &mut buf);
         assert_eq!(buf, [0u8; 32]);
+    }
+
+    #[test]
+    fn zero_stores_leave_unmaterialised_pages_absent() {
+        let (mut m, dram_pa, nvm_pa) = mc();
+        let pfn = |pa: PhysAddr| pa.as_u64() >> PAGE_SHIFT;
+        m.store_bytes(dram_pa, &[0; 100]);
+        m.store_line(nvm_pa, &[0; 64], true);
+        assert!(m.page_ref(pfn(dram_pa)).is_none() && m.page_ref(pfn(nvm_pa)).is_none());
+        assert_eq!(m.volatile_nvm_lines(), 1, "the zero store is still an NVM write");
+        // Once a page holds data, zeros are stored like any other bytes.
+        m.store_line(nvm_pa + 64, &[7; 64], true);
+        m.store_bytes(nvm_pa + 64, &[0; 8]);
+        let mut buf = [0xffu8; 16];
+        m.load_bytes(nvm_pa + 64, &mut buf);
+        assert_eq!(buf, [0, 0, 0, 0, 0, 0, 0, 0, 7, 7, 7, 7, 7, 7, 7, 7]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use kindle_cache::Hierarchy;
 use kindle_cpu::{Activity, Core};
 use kindle_mem::MemoryController;
-use kindle_types::{AccessKind, Cycles, PhysAddr, PhysMem, Rng64, CACHE_LINE};
+use kindle_types::{AccessKind, Cycles, MemKind, PhysAddr, PhysMem, Rng64, CACHE_LINE, PAGE_SIZE};
 
 use crate::config::MachineConfig;
 
@@ -75,12 +75,25 @@ impl Hw {
         if res.needs_fill {
             latency += self.mc.access(pa, AccessKind::Read, now);
         }
-        for wb in &res.writebacks {
+        for wb in res.writebacks.iter() {
             latency += self.mc.access(*wb, AccessKind::Write, now);
             self.mc.commit_line(*wb);
         }
         self.core.advance(latency);
         LineOutcome { latency, llc_miss: res.llc_miss }
+    }
+
+    /// One line of a page-granular store: the write access (or, in free
+    /// mode, the durable commit after it) around the controller's
+    /// whole-line store — line for line what `write_bytes` does.
+    fn store_page_line(&mut self, line: PhysAddr, data: &[u8; CACHE_LINE], nvm: bool) {
+        if self.free_mode {
+            self.mc.store_line(line, data, nvm);
+            self.mc.commit_line(line);
+        } else {
+            self.access_line(line, AccessKind::Write);
+            self.mc.store_line(line, data, nvm);
+        }
     }
 
     /// Simulates a power failure at the hardware level: caches lose all
@@ -157,6 +170,34 @@ impl PhysMem for Hw {
         }
     }
 
+    /// Page-granular override of the trait's line-by-line default, which
+    /// stays the oracle ([`LineByLine`]). Per line it makes the same
+    /// access, fill, write-back commits and store in the same order — a
+    /// stale dirty line of the same frame can be committed mid-page, so
+    /// nothing may be reordered — but decides the memory kind once.
+    fn zero_page(&mut self, pa: PhysAddr) {
+        assert!(pa.is_page_aligned(), "zero_page target must be page aligned");
+        let nvm = self.mc.kind_of(pa) == Ok(MemKind::Nvm);
+        for off in (0..PAGE_SIZE as u64).step_by(CACHE_LINE) {
+            self.store_page_line(pa + off, &[0; CACHE_LINE], nvm);
+        }
+    }
+
+    /// Page-granular override of the line-by-line default; see
+    /// [`zero_page`](Self::zero_page). Per line: the source read, then the
+    /// destination write.
+    fn copy_page(&mut self, src: PhysAddr, dst: PhysAddr) {
+        assert!(src.is_page_aligned(), "copy_page src must be page aligned");
+        assert!(dst.is_page_aligned(), "copy_page dst must be page aligned");
+        let nvm = self.mc.kind_of(dst) == Ok(MemKind::Nvm);
+        let mut buf = [0u8; CACHE_LINE];
+        for off in (0..PAGE_SIZE as u64).step_by(CACHE_LINE) {
+            self.access_line(src + off, AccessKind::Read);
+            self.mc.load_bytes(src + off, &mut buf);
+            self.store_page_line(dst + off, &buf, nvm);
+        }
+    }
+
     fn clwb(&mut self, pa: PhysAddr) {
         if self.free_mode {
             self.mc.commit_line(pa);
@@ -200,10 +241,60 @@ impl PhysMem for Hw {
     }
 }
 
+/// An [`Hw`] whose page operations (`zero_page`, `copy_page`,
+/// `clwb_page`) are the [`PhysMem`] trait's line-by-line defaults; every
+/// other method delegates to the wrapped hardware. It is the oracle
+/// `Hw`'s page-granular overrides are held against, by
+/// `tests/page_ops_equivalence.rs` and by the `hotpath` bench's
+/// `fault_speedup`.
+#[derive(Clone, Debug)]
+pub struct LineByLine(pub Hw);
+
+impl PhysMem for LineByLine {
+    fn touch(&mut self, pa: PhysAddr, kind: AccessKind) -> Cycles {
+        self.0.touch(pa, kind)
+    }
+
+    fn read_u64(&mut self, pa: PhysAddr) -> u64 {
+        self.0.read_u64(pa)
+    }
+
+    fn write_u64(&mut self, pa: PhysAddr, value: u64) {
+        self.0.write_u64(pa, value)
+    }
+
+    fn read_bytes(&mut self, pa: PhysAddr, buf: &mut [u8]) {
+        self.0.read_bytes(pa, buf)
+    }
+
+    fn write_bytes(&mut self, pa: PhysAddr, data: &[u8]) {
+        self.0.write_bytes(pa, data)
+    }
+
+    fn clwb(&mut self, pa: PhysAddr) {
+        self.0.clwb(pa)
+    }
+
+    fn sfence(&mut self) {
+        self.0.sfence()
+    }
+
+    fn persist_barrier(&mut self) {
+        self.0.persist_barrier()
+    }
+
+    fn advance(&mut self, cost: Cycles) {
+        self.0.advance(cost)
+    }
+
+    fn now(&self) -> Cycles {
+        self.0.now()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kindle_types::MemKind;
 
     fn hw() -> (Hw, PhysAddr, PhysAddr) {
         let cfg = MachineConfig::small();

@@ -35,6 +35,6 @@ pub mod report;
 pub use ambient::Ambient;
 pub use config::{CheckpointSetup, MachineConfig, DEFAULT_PATROL_INTERVAL, DEFAULT_SCRUB_INTERVAL};
 pub use daemon::{CheckpointDaemon, KernelDaemon, MigrationDaemon, PatrolDaemon, ScrubDaemon};
-pub use hw::Hw;
+pub use hw::{Hw, LineByLine};
 pub use machine::{Machine, MachineSnapshot, ReplayOptions, ReplayReport};
 pub use report::SimReport;

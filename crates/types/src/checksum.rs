@@ -30,8 +30,14 @@ pub const fn fold64(acc: u64, word: u64) -> u64 {
 
 /// Checksum of a word slice. `checksum64(&[])` is the (non-zero) offset
 /// basis, so an empty payload still has a well-defined stored value.
-pub fn checksum64(words: &[u64]) -> u64 {
-    words.iter().fold(FNV_OFFSET, |acc, &w| fold64(acc, w))
+pub const fn checksum64(words: &[u64]) -> u64 {
+    let mut acc = FNV_OFFSET;
+    let mut i = 0;
+    while i < words.len() {
+        acc = fold64(acc, words[i]);
+        i += 1;
+    }
+    acc
 }
 
 #[cfg(test)]
